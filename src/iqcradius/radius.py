@@ -30,8 +30,8 @@ import numpy as np
 
 from .model import (IqcSet, SystemData, Trajectory, lyapunov_adjoint,
                     lyapunov_operator, simulate)
-from .sdp_engine import (MarginPrimalResult, SolverConfig, dual_feasibility_margin,
-                         solve_margin_primal)
+from .sdp_engine import (CERTIFY_CONFIG, MarginPrimalResult, SolverConfig,
+                         dual_feasibility_margin, solve_margin_primal)
 
 __all__ = [
     "RadiusCertificate",
@@ -100,12 +100,6 @@ class ExponentialRateResult:
     rho: float
     certificate: RadiusCertificate | None
     reason: str = ""
-
-
-def _probe_config(config: SolverConfig | None) -> SolverConfig:
-    if config is not None:
-        return config
-    return SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
 
 
 def _certified_dual_slack(sys: SystemData, iqcs: IqcSet, rho: float,
@@ -206,7 +200,7 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     scale = sys.scale() + iqcs.scale()
     strict = strict_eps * scale
     eps_t = 1e-9 * scale
-    prober = _Prober(sys, iqcs, strict, eps_t, _probe_config(config), solver)
+    prober = _Prober(sys, iqcs, strict, eps_t, config or CERTIFY_CONFIG, solver)
 
     def build(rho, lo, hi, status="ok", message=""):
         cert_rho = min(prober.certs) if prober.certs else None
@@ -320,7 +314,7 @@ def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
     iqcs.check_matches(sys)
     scale = sys.scale() + iqcs.scale()
     tol = strict_eps * scale
-    result = solve_margin_primal(sys, iqcs, rho, _probe_config(config), solver=solver)
+    result = solve_margin_primal(sys, iqcs, rho, config or CERTIFY_CONFIG, solver=solver)
     attained = (np.all(np.isfinite(result.P))
                 and result.margin_check <= 2.0 * tol
                 and float(np.linalg.eigvalsh(result.P)[0]) >= 1.0 - 1e-6)

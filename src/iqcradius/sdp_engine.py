@@ -10,10 +10,21 @@ module provides
     SDPs (symmetric matrix and scalar variables, PSD constraints, scalar
     inequalities, equality constraints),
   * :func:`solve` -- a dense primal-dual interior-point method
-    (Mehrotra predictor-corrector with the classic HKM direction) for
-    the compiled standard form  min c'y  s.t.  F0 + sum_i y_i F_i >= 0,
+    (Mehrotra predictor-corrector with the HKM direction of Helmberg,
+    Rendl, Vanderbei & Wolkowicz 1996) for the compiled standard form
+    min c'y  s.t.  F0 + sum_i y_i F_i >= 0,
   * the domain-level wrappers ``solve_margin_primal``,
     ``solve_margin_dual`` and ``dual_feasibility_margin``.
+
+Compilation packs every PSD constraint and scalar inequality into the
+diagonal blocks of one ``D x D`` matrix, so each iterate S, Z and each
+coefficient F_i is a single block-diagonal matrix and an iteration is a
+few whole-matrix products: the Schur complement is one matrix product
+over the stacked coefficients, and each step length is one Cholesky
+factorization and one eigenvalue computation.  Block-diagonal
+factorizations create no fill outside the blocks, so this computes what
+a loop over the blocks would.  Residuals, the constraint violation and
+the cone duals are still read block by block.
 
 The engine is deliberately self-contained (dense numpy only) and is
 meant for desk-scale problems, at most a few thousand scalar unknowns.
@@ -43,6 +54,7 @@ __all__ = [
     "dual_feasibility_margin",
     "MARGIN_FLOOR",
     "TRACE_CAP",
+    "CERTIFY_CONFIG",
 ]
 
 # Lower bound on the margin objective and cap on trace(P) + sum(lambda).
@@ -74,6 +86,11 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+# Tolerances of the certificate searches (radius probes, attainment checks
+# and witness extraction) when the caller passes no config.
+CERTIFY_CONFIG = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
+
+
 def _sym_coords(d: int):
     for i in range(d):
         for j in range(i, d):
@@ -85,6 +102,12 @@ def _sym_basis(d: int, i: int, j: int) -> np.ndarray:
     E[i, j] = 1.0
     E[j, i] = 1.0
     return E
+
+
+def _block_slices(blocks: Sequence[int]) -> list[slice]:
+    """Row/column ranges of the diagonal blocks of a block-diagonal matrix."""
+    ends = np.cumsum(blocks, dtype=int)
+    return [slice(int(e - d), int(e)) for d, e in zip(blocks, ends)]
 
 
 class SdpProblem:
@@ -184,31 +207,20 @@ class SdpProblem:
 
     def compile(self):
         spans, p = self._var_span()
-        blocks: list[int] = []
-        F0: list[np.ndarray] = []
-        cols: list[list[np.ndarray]] = [[] for _ in range(p)]
-        labels: list[str] = []
-
-        def add_block(dim, const, terms, label):
-            if dim == 0:
-                return
-            blocks.append(dim)
-            labels.append(label)
-            F0.append(np.asarray(const, dtype=float).reshape(dim, dim))
-            coeff = {k: np.zeros((dim, dim)) for k in range(p)}
+        entries = [(dim, C, terms, label) for dim, C, terms, label in self._psd if dim]
+        entries += [(1, np.array([[const]]), terms, label)
+                    for const, terms, label in self._ineq]
+        blocks = [dim for dim, *_ in entries]
+        D = sum(blocks)
+        F0 = np.zeros((D, D))
+        cols = np.zeros((p, D, D))
+        for (dim, const, terms, _label), sl in zip(entries, _block_slices(blocks)):
+            F0[sl, sl] = const
             for name, fn in terms:
                 lo, _hi = spans[name]
                 for off, basis in enumerate(self._var_basis(name)):
                     out = np.asarray(fn(basis), dtype=float).reshape(dim, dim)
-                    coeff[lo + off] += 0.5 * (out + out.T)
-                    # fmt: keep symmetric exactly
-            for k in range(p):
-                cols[k].append(coeff[k])
-
-        for dim, C, terms, label in self._psd:
-            add_block(dim, C, terms, label)
-        for const, terms, label in self._ineq:
-            add_block(1, np.array([[const]]), terms, label)
+                    cols[lo + off, sl, sl] += 0.5 * (out + out.T)
 
         c = np.zeros(p)
         for name, fn in self._obj_terms:
@@ -225,8 +237,8 @@ class SdpProblem:
                 for off, basis in enumerate(self._var_basis(name)):
                     A_eq[r, lo + off] += float(fn(basis))
 
-        return _Compiled(self, spans, p, blocks, labels, F0, cols, c,
-                         self._obj_const, A_eq, b_eq)
+        return _Compiled(self, spans, p, blocks, [label for *_, label in entries],
+                         F0, cols, c, self._obj_const, A_eq, b_eq)
 
     def extract(self, name: str, y: np.ndarray, spans) -> np.ndarray | float:
         lo, hi = spans[name]
@@ -243,13 +255,21 @@ class SdpProblem:
 
 @dataclass
 class _Compiled:
+    """Standard form  F0 + sum_k y_k cols[k] >= 0  over one block-diagonal matrix.
+
+    ``F0`` and each ``cols[k]`` are ``D x D`` with ``D = sum(blocks)``; the
+    diagonal blocks, in the order of ``blocks`` and ``labels``, are the PSD
+    constraints followed by the scalar inequalities, and every entry off
+    those blocks is zero.
+    """
+
     problem: SdpProblem
     spans: dict
     p: int
     blocks: list
     labels: list
-    F0: list
-    cols: list
+    F0: np.ndarray                 # (D, D)
+    cols: np.ndarray               # (p, D, D)
     c: np.ndarray
     obj_const: float
     A_eq: np.ndarray
@@ -278,8 +298,23 @@ def _min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
+def _block_norms(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the diagonal blocks of ``M`` (last two axes).
+
+    ``starts`` holds the first row of each block; entries off the diagonal
+    blocks must be zero.
+    """
+    return np.sqrt(np.add.reduceat((M * M).sum(-1), starts, axis=-1))
+
+
 def _step_to_boundary(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX >= 0, for X > 0 (per block)."""
+    """Largest alpha with X + alpha dX >= 0, for X > 0.
+
+    For block-diagonal X and dX the factors stay block diagonal, and the
+    smallest eigenvalue is the minimum over the blocks.
+    """
+    if X.size == 0:
+        return np.inf
     L = np.linalg.cholesky(X)
     Linv = np.linalg.solve(L, np.eye(X.shape[0]))
     W = Linv @ dX @ Linv.T
@@ -313,56 +348,39 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         N = np.eye(p)
 
     pz = N.shape[1]
-    nblocks = len(comp.blocks)
+    blocks = comp.blocks
+    D = sum(blocks)
+    slices = _block_slices(blocks)
+    starts = np.array([sl.start for sl in slices], dtype=int)
+    eye = np.eye(D)
 
-    # Constant part and reduced coefficient columns.
-    G0 = [comp.F0[b].copy() for b in range(nblocks)]
-    for k in range(p):
-        if y0[k] != 0.0:
-            for b in range(nblocks):
-                G0[b] += y0[k] * comp.cols[k][b]
-    Gcols = []
-    for z in range(pz):
-        colz = []
-        for b in range(nblocks):
-            acc = np.zeros_like(comp.F0[b])
-            for k in range(p):
-                if N[k, z] != 0.0:
-                    acc += N[k, z] * comp.cols[k][b]
-            colz.append(acc)
-        Gcols.append(colz)
+    # Constant part and reduced coefficients, all D x D block diagonal.
+    G0 = comp.F0 + np.tensordot(y0, comp.cols, 1)
+    Gb = np.tensordot(N, comp.cols, axes=(0, 0))       # (pz, D, D)
     cz = N.T @ comp.c
     const_obj = comp.obj_const + float(comp.c @ y0)
+    g0_norms = _block_norms(G0, starts)
 
     # Column scaling for a better-conditioned Schur complement.
-    scale = np.ones(pz)
-    for z in range(pz):
-        nrm = max([np.linalg.norm(Gcols[z][b]) for b in range(nblocks)] or [0.0])
-        scale[z] = 1.0 / max(1.0, nrm)
-        for b in range(nblocks):
-            Gcols[z][b] = Gcols[z][b] * scale[z]
+    scale = 1.0 / np.maximum(1.0, _block_norms(Gb, starts).max(axis=1, initial=0.0))
+    Gb = Gb * scale[:, None, None]
+    Gf = Gb.reshape(pz, D * D)
     cz = cz * scale
 
     def full_y(zvec: np.ndarray) -> np.ndarray:
         return y0 + N @ (zvec * scale)
 
     def violation(zvec: np.ndarray) -> float:
-        worst = 0.0
-        for b in range(nblocks):
-            S = G0[b].copy()
-            for z in range(pz):
-                S += zvec[z] * Gcols[z][b]
-            worst = max(worst, max(0.0, -_min_eig(S)) / (1.0 + np.linalg.norm(G0[b])))
-        return worst
+        S = G0 + np.tensordot(zvec, Gb, 1)
+        return max([max(0.0, -_min_eig(S[sl, sl])) / (1.0 + g0_norms[b])
+                    for b, sl in enumerate(slices)], default=0.0)
 
-    def finish(status, zvec, Zb, iters, message=""):
+    def finish(status, zvec, Zm, iters, message=""):
         yfull = full_y(zvec)
         values = {name: problem.extract(name, yfull, comp.spans)
                   for name in problem._order}
-        cone = {}
-        for b, label in enumerate(comp.labels):
-            if label:
-                cone[label] = Zb[b]
+        cone = {label: Zm[sl, sl].copy()
+                for label, sl in zip(comp.labels, slices) if label}
         res = {"constraint_violation": violation(zvec)}
         res.update(last_res)
         return SdpSolution(status=status, objective=float(cz @ zvec) + const_obj,
@@ -375,22 +393,19 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         # Fully determined by the equality constraints.
         viol = violation(np.zeros(0))
         status = "optimal" if viol <= 1e3 * config.feas_tol else "infeasible"
-        Zb = [np.zeros_like(comp.F0[b]) for b in range(nblocks)]
-        return finish(status, np.zeros(0), Zb, 0,
+        return finish(status, np.zeros(0), np.zeros((D, D)), 0,
                       "" if status == "optimal" else
                       f"fixed point violates PSD constraints by {viol:.2e}")
 
-    total_dim = sum(comp.blocks)
-    f0_norm = max([np.linalg.norm(G0[b]) for b in range(nblocks)] or [1.0])
+    f0_norm = g0_norms.max() if blocks else 1.0
 
     z = np.zeros(pz)
     # Per-block initialization: a shared scale would let one block with a
     # large constant (for example a trace cap) wreck the centering of the
     # small well-scaled blocks.
-    zscale = 1.0 + float(np.linalg.norm(cz, np.inf)) if pz else 1.0
-    S = [np.eye(comp.blocks[b]) * (1.0 + np.linalg.norm(G0[b]))
-         for b in range(nblocks)]
-    Z = [np.eye(d) * zscale for d in comp.blocks]
+    zscale = 1.0 + float(np.linalg.norm(cz, np.inf))
+    S = np.diag(np.repeat(1.0 + g0_norms, blocks))
+    Z = eye * zscale
 
     best = None
     status = "iteration-limit"
@@ -399,20 +414,13 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     for it in range(1, config.max_iter + 1):
         # Residuals.
-        Fz = []
-        for b in range(nblocks):
-            M = G0[b].copy()
-            for k in range(pz):
-                M += z[k] * Gcols[k][b]
-            Fz.append(M)
-        Rd = [Fz[b] - S[b] for b in range(nblocks)]
-        rp = cz - np.array([sum(float(np.tensordot(Gcols[k][b], Z[b]))
-                                for b in range(nblocks)) for k in range(pz)])
-        gap = sum(float(np.tensordot(S[b], Z[b])) for b in range(nblocks))
-        mu = gap / max(1, total_dim)
+        Rd = G0 + np.tensordot(z, Gb, 1) - S
+        rp = cz - Gf @ Z.ravel()
+        gap = float(np.vdot(S, Z))
+        mu = gap / max(1, D)
         obj_p = float(cz @ z)
-        obj_d = -sum(float(np.tensordot(G0[b], Z[b])) for b in range(nblocks))
-        pres = max(np.linalg.norm(Rd[b]) for b in range(nblocks)) / (1.0 + f0_norm)
+        obj_d = -float(np.vdot(G0, Z))
+        pres = float(_block_norms(Rd, starts).max(initial=0.0)) / (1.0 + f0_norm)
         dres = float(np.linalg.norm(rp, np.inf)) / (1.0 + float(np.linalg.norm(cz, np.inf)))
         gap_rel = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
         mu_rel = mu / (1.0 + abs(obj_p) + abs(obj_d))
@@ -424,7 +432,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             print(f"  it={it:3d} obj={obj_p: .6e} dual={obj_d: .6e} "
                   f"pres={pres:.2e} dres={dres:.2e} mu={mu:.2e} merit={merit:.2e}")
         if best is None or merit < best[0]:
-            best = (merit, z.copy(), [zb.copy() for zb in Z])
+            best = (merit, z.copy(), Z.copy())
 
         if pres <= config.feas_tol and dres <= config.feas_tol and (
                 gap_rel <= config.gap_tol or mu_rel <= config.gap_tol):
@@ -432,56 +440,36 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             break
 
         try:
-            Sinv = [np.linalg.solve(S[b], np.eye(comp.blocks[b])) for b in range(nblocks)]
-            for b in range(nblocks):
-                Sinv[b] = 0.5 * (Sinv[b] + Sinv[b].T)
-            # Schur complement M[i,j] = sum_b tr(F_i Z F_j Sinv); the order
-            # Z F_j Sinv matters, Z does not commute with the F's.
-            Msc = np.zeros((pz, pz))
-            ZFSi = [[Z[b] @ Gcols[k][b] @ Sinv[b] for b in range(nblocks)]
-                    for k in range(pz)]
-            for i in range(pz):
-                for j in range(pz):
-                    Msc[i, j] = sum(float(np.tensordot(Gcols[i][b], ZFSi[j][b]))
-                                    for b in range(nblocks))
+            Sinv = np.linalg.solve(S, eye)
+            Sinv = 0.5 * (Sinv + Sinv.T)
+            # Schur complement M[i,j] = tr(G_i Z G_j Sinv); the order
+            # Z G_j Sinv matters, Z does not commute with the G's.
+            Msc = Gf @ (Z @ Gb @ Sinv).reshape(pz, -1).T
             Msc = 0.5 * (Msc + Msc.T)
 
             def direction(Rcomp):
-                rhs = np.empty(pz)
-                T = [(Rcomp[b] - Z[b] @ Rd[b]) @ Sinv[b] for b in range(nblocks)]
-                for i in range(pz):
-                    rhs[i] = sum(float(np.tensordot(Gcols[i][b], T[b]))
-                                 for b in range(nblocks)) - rp[i]
+                T = (Rcomp - Z @ Rd) @ Sinv
+                rhs = Gf @ T.ravel() - rp
                 try:
                     dz = np.linalg.solve(Msc, rhs)
                     dz += np.linalg.solve(Msc, rhs - Msc @ dz)
                 except np.linalg.LinAlgError:
                     dz, *_ = np.linalg.lstsq(Msc, rhs, rcond=None)
-                dS = [Rd[b] + sum(dz[k] * Gcols[k][b] for k in range(pz))
-                      for b in range(nblocks)]
-                dZ = []
-                for b in range(nblocks):
-                    M = (Rcomp[b] - Z[b] @ dS[b]) @ Sinv[b]
-                    dZ.append(0.5 * (M + M.T))
-                return dz, dS, dZ
+                dS = Rd + np.tensordot(dz, Gb, 1)
+                M = (Rcomp - Z @ dS) @ Sinv
+                return dz, dS, 0.5 * (M + M.T)
 
             # Predictor.
-            Rc_aff = [-(Z[b] @ S[b]) for b in range(nblocks)]
-            dz_a, dS_a, dZ_a = direction(Rc_aff)
-            a_p = min([_step_to_boundary(S[b], dS_a[b]) for b in range(nblocks)] + [np.inf])
-            a_d = min([_step_to_boundary(Z[b], dZ_a[b]) for b in range(nblocks)] + [np.inf])
-            a_p = min(1.0, config.step_fraction * a_p)
-            a_d = min(1.0, config.step_fraction * a_d)
-            gap_aff = sum(float(np.tensordot(S[b] + a_p * dS_a[b], Z[b] + a_d * dZ_a[b]))
-                          for b in range(nblocks))
+            dz_a, dS_a, dZ_a = direction(-(Z @ S))
+            a_p = min(1.0, config.step_fraction * _step_to_boundary(S, dS_a))
+            a_d = min(1.0, config.step_fraction * _step_to_boundary(Z, dZ_a))
+            gap_aff = float(np.vdot(S + a_p * dS_a, Z + a_d * dZ_a))
             sigma = min(1.0, max(1e-10, (gap_aff / gap) ** 3)) if gap > 0 else 0.0
 
             # Corrector.
-            Rc = [sigma * mu * np.eye(comp.blocks[b]) - Z[b] @ S[b] - dZ_a[b] @ dS_a[b]
-                  for b in range(nblocks)]
-            dz, dS, dZ = direction(Rc)
-            a_p = min([_step_to_boundary(S[b], dS[b]) for b in range(nblocks)] + [np.inf])
-            a_d = min([_step_to_boundary(Z[b], dZ[b]) for b in range(nblocks)] + [np.inf])
+            dz, dS, dZ = direction(sigma * mu * eye - Z @ S - dZ_a @ dS_a)
+            a_p = _step_to_boundary(S, dS)
+            a_d = _step_to_boundary(Z, dZ)
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             message = "factorization failed (loss of positive definiteness)"
@@ -499,9 +487,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             break
 
         z = z + a_p * dz
-        for b in range(nblocks):
-            S[b] = S[b] + a_p * dS[b]
-            Z[b] = Z[b] + a_d * dZ[b]
+        S = S + a_p * dS
+        Z = Z + a_d * dZ
 
     else:
         it = config.max_iter

@@ -31,7 +31,7 @@ from .model import (
     lyapunov_adjoint,
     symmetrize,
 )
-from .sdp_engine import SdpProblem, SdpSolution, SolverConfig, solve
+from .sdp_engine import CERTIFY_CONFIG, SdpProblem, SdpSolution, SolverConfig, solve
 
 __all__ = [
     "DualWitnessResult",
@@ -61,12 +61,6 @@ _PSD_TOL = 1e-8
 _TRACE_TOL = 1e-8
 _ADJOINT_TOL = 1e-6
 _PAIRING_TOL = 1e-6
-
-
-def _extraction_config(config: SolverConfig | None) -> SolverConfig:
-    if config is not None:
-        return config
-    return SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +171,7 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    config = _extraction_config(config)
+    config = config or CERTIFY_CONFIG
     run = solver or solve
     n, m = sys.n, sys.m
     dim = n + m
@@ -564,7 +558,7 @@ def _relaxed_direction(modes: WorstCaseModes, config: SolverConfig | None,
             0.0, [("V", (lambda Ki: (lambda Vm: float(np.tensordot(Vm, Ki))))(K))],
             label=f"group{i}")
     pb.add_scalar_eq(-1.0, [("V", lambda Vm: float(np.tensordot(Vm, XtX)))])
-    sol = run(pb, _extraction_config(config))
+    sol = run(pb, config or CERTIFY_CONFIG)
     if sol.status == "infeasible" or "V" not in sol.values:
         return TechnicalConditionResult(
             v=None, method="relaxation",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iqcradius import sdp_engine
 from iqcradius.model import IqcSet, SystemData
 from iqcradius.radius import (
     attainment_check,
@@ -179,3 +180,24 @@ def test_spectral_radius_rejects_bad_options():
         spectral_radius(sys, IqcSet.empty(1), bisect_tol=0.0)
     with pytest.raises(ValueError):
         spectral_radius(sys, IqcSet.empty(1), rho_max=-1.0)
+
+
+def test_solver_hook_runs_every_solve(monkeypatch):
+    sys, iqcs = gradient_instance(0.1)
+    engine_solve = sdp_engine.solve
+    default_calls, spy_calls = [], []
+
+    def counting(calls):
+        def run(problem, config):
+            calls.append(problem)
+            return engine_solve(problem, config)
+        return run
+
+    monkeypatch.setattr(sdp_engine, "solve", counting(default_calls))
+    default = spectral_radius(sys, iqcs)
+    n_default = len(default_calls)
+    hooked = spectral_radius(sys, iqcs, solver=counting(spy_calls))
+    assert hooked.rho == default.rho
+    assert len(spy_calls) == n_default > 0
+    # No solve went around the hook.
+    assert len(default_calls) == n_default

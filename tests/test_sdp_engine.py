@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iqcradius.model import IqcSet, SystemData
 from iqcradius.radius import margin_matrix
 from iqcradius.sdp_engine import (
     MARGIN_FLOOR,
+    TRACE_CAP,
     SdpProblem,
     SolverConfig,
     dual_feasibility_margin,
@@ -176,3 +180,86 @@ def test_margin_primal_rejects_bad_rate_and_dims():
         solve_margin_primal(sys, IqcSet.empty(1), 0.0, CONFIG)
     with pytest.raises(Exception):
         solve_margin_primal(sys, IqcSet.empty(3), 1.0, CONFIG)
+
+
+def test_verbose_prints_one_line_per_iteration(capsys):
+    pb = SdpProblem()
+    pb.add_scalar_var("s")
+    pb.minimize([("s", lambda v: v)])
+    pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", lambda v: v * np.eye(2))])
+    quiet = solve(pb, CONFIG)
+    assert capsys.readouterr().out == ""
+    loud = solve(pb, SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300,
+                                  verbose=True))
+    lines = capsys.readouterr().out.splitlines()
+    assert loud.iterations == quiet.iterations > 0
+    assert len(lines) == loud.iterations
+    assert all(line.lstrip().startswith("it=") for line in lines)
+
+
+_ENTRY = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _max_eig_problems(draw):
+    """min s + tr(X) over s = t, sI >= C_b (or tI >= C_b), s >= c_j, X >= W.
+
+    PSD blocks of size 1-4, scalar blocks, one scalar equality and a cap
+    of TRACE_CAP on s + tr(X); the optimum is max(lambda_max(C_b), c_j)
+    + tr(W) with X = W.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    Cs = [draw(arrays(np.float64, (d, d), elements=_ENTRY)) for d in sizes]
+    Cs = [0.5 * (C + C.T) for C in Cs]
+    cs = draw(st.lists(_ENTRY, max_size=3))
+    k = draw(st.integers(1, 3))
+    W = draw(arrays(np.float64, (k, k), elements=_ENTRY))
+    W = 0.5 * (W + W.T)
+
+    pb = SdpProblem()
+    pb.add_scalar_var("s")
+    pb.add_scalar_var("t")
+    pb.add_sym_var("X", k)
+    pb.minimize([("s", lambda v: v), ("X", lambda Xm: float(np.trace(Xm)))])
+    for b, C in enumerate(Cs):
+        var = "st"[b % 2]
+        pb.add_psd(len(C), -C, [(var, (lambda d: (lambda v: v * np.eye(d)))(len(C)))],
+                   label=f"block{b}")
+    pb.add_psd(k, -W, [("X", lambda Xm: Xm)], label="X_lower")
+    for j, c in enumerate(cs):
+        pb.add_scalar_ineq(-c, [("s", lambda v: v)], label=f"scalar{j}")
+    pb.add_scalar_ineq(TRACE_CAP, [("s", lambda v: -v),
+                                   ("X", lambda Xm: -float(np.trace(Xm)))], label="cap")
+    pb.add_scalar_eq(0.0, [("t", lambda v: v), ("s", lambda v: -v)])
+
+    optimum = max([float(np.linalg.eigvalsh(C)[-1]) for C in Cs] + cs)
+    return pb, Cs, cs, W, optimum + float(np.trace(W))
+
+
+@given(_max_eig_problems())
+def test_engine_properties_on_random_block_problems(case):
+    pb, Cs, cs, W, expected = case
+    sol = solve(pb, CONFIG)
+    assert sol.status == "optimal"
+    tol = 1e-7 * (1.0 + abs(expected))
+
+    # Primal feasibility, checked block by block by eigenvalues.
+    s, t, X = sol.values["s"], sol.values["t"], sol.values["X"]
+    assert abs(s - t) <= tol
+    for b, C in enumerate(Cs):
+        v = (s, t)[b % 2]
+        assert float(np.linalg.eigvalsh(v * np.eye(len(C)) - C)[0]) >= -tol
+    assert float(np.linalg.eigvalsh(X - W)[0]) >= -tol
+    assert all(s - c >= -tol for c in cs)
+    assert TRACE_CAP - s - float(np.trace(X)) >= 0.0
+
+    # Cone duals: one PSD matrix per labelled block, in its block's shape.
+    shapes = {f"block{b}": C.shape for b, C in enumerate(Cs)}
+    shapes.update({f"scalar{j}": (1, 1) for j in range(len(cs))})
+    shapes.update(X_lower=W.shape, cap=(1, 1))
+    assert {label: Z.shape for label, Z in sol.cone_duals.items()} == shapes
+    for Z in sol.cone_duals.values():
+        assert float(np.linalg.eigvalsh(Z)[0]) >= -1e-8
+
+    assert sol.objective == pytest.approx(expected, abs=tol)
+    assert np.array_equal(solve(pb, CONFIG).y, sol.y)
