@@ -24,6 +24,7 @@ from .model import (
     iqc_partial_sums,
     lyapunov_adjoint,
     lyapunov_operator,
+    margin_matrix,
     quadratic_form,
     simulate,
 )
@@ -34,7 +35,6 @@ from .radius import (
     attainment_check,
     classify,
     exponential_rate_certificate,
-    margin_matrix,
     spectral_radius,
 )
 from .sdp_engine import (

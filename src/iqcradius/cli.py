@@ -50,8 +50,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamic_iqc import IqcFilter, PlantData, augment_all
-from .model import DimensionMismatchError, IqcSet, SystemData
-from .radius import classify, margin_matrix, spectral_radius
+from .model import DimensionMismatchError, IqcSet, SystemData, margin_matrix
+from .radius import classify, spectral_radius
 from .verify import check_witness
 from .worstcase import (
     EigenGroup,
@@ -186,8 +186,8 @@ class Problem:
     options: dict
 
 
-def load_problem(path: str) -> Problem:
-    """Parse a problem file; errors name the offending field."""
+def _read_json(path: str) -> dict:
+    """Read a JSON document whose top level is an object."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -199,6 +199,12 @@ def load_problem(path: str) -> Problem:
             f"{path}: invalid document: {exc.msg} (line {exc.lineno}, "
             f"column {exc.colno})") from None
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
+    return doc
+
+
+def load_problem(path: str) -> Problem:
+    """Parse a problem file; errors name the offending field."""
+    doc = _read_json(path)
     allowed = {"dims", "A", "B", "iqcs", "plant", "filter", "filters",
                "options"}
     for key in doc:
@@ -339,16 +345,21 @@ def _certificate_json(cert) -> dict:
     }
 
 
-def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, cert) -> dict | None:
-    if cert.P is None:
-        return None
-    rho_c = cert.rho_cert if cert.rho_cert is not None else cert.rho
-    lambdas = (np.zeros(len(iqcs)) if cert.lambdas is None
-               else np.asarray(cert.lambdas, dtype=float).reshape(-1))
-    W = margin_matrix(sys_data, iqcs, rho_c, cert.P, lambdas)
+def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, rho_c: float,
+                         P, lambdas) -> dict:
+    """Largest eigenvalue of the rate-rho_c inequality matrix, smallest of P."""
+    lambdas = (np.zeros(len(iqcs)) if lambdas is None
+               else np.asarray(lambdas, dtype=float).reshape(-1))
+    W = margin_matrix(sys_data, iqcs, rho_c, P, lambdas)
     eig = float(np.linalg.eigvalsh(W)[-1]) if W.shape[0] else 0.0
-    pmin = float(np.linalg.eigvalsh(np.asarray(cert.P))[0])
+    pmin = float(np.linalg.eigvalsh(np.asarray(P))[0])
     return {"certificate_eig": eig, "p_min_eig": pmin}
+
+
+def _report_margins(sys_data: SystemData, iqcs: IqcSet, cert) -> dict:
+    rho_c = cert.rho_cert if cert.rho_cert is not None else cert.rho
+    return {"certificate": None if cert.P is None else
+            _certificate_margins(sys_data, iqcs, rho_c, cert.P, cert.lambdas)}
 
 
 def _witness_json(report: WitnessReport) -> dict:
@@ -458,7 +469,7 @@ def cmd_radius(args) -> int:
         "verdict": verdict.classification,
         "reasons": list(verdict.reasons),
         "certificate": _certificate_json(cert),
-        "margins": {"certificate": _certificate_margins(sys_data, iqcs, cert)},
+        "margins": _report_margins(sys_data, iqcs, cert),
         "witness": None,
     }
     _write_out(args.out, report)
@@ -510,8 +521,7 @@ def cmd_worst_case(args) -> int:
         "bracket": [_num(cert.bracket[0]), _num(cert.bracket[1])],
         "attained": bool(cert.attained),
         "certificate": _certificate_json(cert),
-        "margins": {"certificate": _certificate_margins(sys_data, iqcs,
-                                                        cert)},
+        "margins": _report_margins(sys_data, iqcs, cert),
         "witness": None,
         "stage": stage,
         "reason": reason,
@@ -553,17 +563,7 @@ def cmd_worst_case(args) -> int:
 
 
 def _load_report(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"{path}: invalid document: {exc.msg} (line {exc.lineno}, "
-            f"column {exc.colno})") from None
-    _require(isinstance(doc, dict), f"{path}: top level must be an object")
+    doc = _read_json(path)
     _require(doc.get("kind") in {"radius", "worst-case"},
              f"{path}: not a report file (kind = {doc.get('kind')!r})")
     return doc
@@ -609,9 +609,8 @@ def cmd_verify(args) -> int:
                  f"entries, got {lambdas.size}")
         rho_c = cert_blk.get("rho_cert")
         rho_c = float(rho_c) if rho_c is not None else float(report["rho"])
-        W = margin_matrix(sys_data, iqcs, rho_c, P, lambdas)
-        eig = float(np.linalg.eigvalsh(W)[-1]) if W.shape[0] else 0.0
-        pmin = float(np.linalg.eigvalsh(P)[0])
+        margins = _certificate_margins(sys_data, iqcs, rho_c, P, lambdas)
+        eig, pmin = margins["certificate_eig"], margins["p_min_eig"]
         _require(recorded_margins is not None,
                  "report: certificate present but no recorded margins")
         item("lyapunov-margin-reproduces",

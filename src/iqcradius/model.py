@@ -10,7 +10,9 @@ operator
     L_rho(P) = [[A'PA - rho^2 P, A'PB], [B'PA, B'PB]]
 
 and its adjoint ``L*(Q) = [A B] Q [A B]' - [I 0] Q [I 0]'`` with respect
-to the trace inner product.  Everything downstream (feasibility margins,
+to the trace inner product, and the rate-rho inequality matrix
+``L_rho(P) + sum_i lambda_i M_i`` that every certificate is checked
+against (``margin_matrix``).  Everything downstream (feasibility margins,
 bisection, witness extraction) is built from these two maps.
 
 All matrices are dense 64-bit floating point.  Input dimension zero is a
@@ -34,6 +36,7 @@ __all__ = [
     "quadratic_form",
     "lyapunov_operator",
     "lyapunov_adjoint",
+    "margin_matrix",
     "iqc_partial_sums",
     "simulate",
 ]
@@ -280,6 +283,15 @@ def lyapunov_adjoint(Q: np.ndarray, sys: SystemData, rho: float = 1.0) -> np.nda
     G = sys.AB
     out = G @ Q @ G.T - rho * rho * Q[:sys.n, :sys.n]
     return 0.5 * (out + out.T)
+
+
+def margin_matrix(sys: SystemData, iqcs: IqcSet, rho: float,
+                  P: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
+    """The rate-rho inequality matrix  L_rho(P) + sum_i lambda_i M_i."""
+    H = lyapunov_operator(P, sys, rho)
+    for lam, M in zip(np.asarray(lambdas, dtype=float), iqcs):
+        H = H + lam * M
+    return H
 
 
 def iqc_partial_sums(traj: Trajectory, iqcs: IqcSet) -> list[np.ndarray]:

@@ -8,11 +8,21 @@ bisection.  Each probe classifies a rate as
   * at-or-below the radius: certified by a unit-trace PSD Q with
     L_rho*(Q) >= -eps and trace(Q M_i) >= -eps, which by weak duality
     rules out a strictly feasible rate-rho inequality, or
-  * above the radius: certified by a primal point (P, lambda) whose
+  * above the radius: certified by a primal point (P, lambda) with
+    P >= I, lambda >= 0 and trace(P) + sum(lambda) <= TRACE_CAP whose
     margin re-checks strictly negative by an eigenvalue routine, or
   * ambiguous: neither certificate could be produced (this happens in a
     narrow band around a defective boundary, where certifying P grows
     like 1/(rho - radius)^2 and the dual slack vanishes cubically).
+
+A probe first re-checks, at its own rate, the certificates of earlier
+probes: each Q found below, then each (P, lambda) found above.  Both
+tests are the ones above, done by eigenvalues; for a fixed certificate
+each is monotone in the rate, and they often settle a rate with no
+solve.  Otherwise the probe solves the phase-I dual program once: its Q
+certifies "below", or its cone duals, scaled so that P >= I, give the
+(P, lambda) that certifies "above".  The margin program is solved as
+well only when that pair fails its re-check.
 
 Ambiguous probes are treated as at-or-below, which biases the reported
 radius upward, the safe direction for stability claims.  For systems
@@ -24,14 +34,15 @@ the bisection machinery only assembles the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .model import (IqcSet, SystemData, Trajectory, lyapunov_adjoint,
-                    lyapunov_operator, simulate)
-from .sdp_engine import (CERTIFY_CONFIG, MarginPrimalResult, SolverConfig,
-                         dual_feasibility_margin, solve_margin_primal)
+                    margin_matrix, simulate)
+from .sdp_engine import (CERTIFY_CONFIG, TRACE_CAP, DualFeasibilityResult,
+                         MarginPrimalResult, SolverConfig,
+                         dual_feasibility_margin, margin_point,
+                         solve_margin_primal)
 
 __all__ = [
     "RadiusCertificate",
@@ -49,15 +60,6 @@ _LADDER = (1.0, 10.0, 100.0)      # certificate search offsets, in units of bise
 _LADDER_REL = (1e-3, 1e-2, 0.1, 1.0)  # then relative offsets
 
 
-def margin_matrix(sys: SystemData, iqcs: IqcSet, rho: float,
-                  P: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
-    """The rate-rho inequality matrix  L_rho(P) + sum_i lambda_i M_i."""
-    H = lyapunov_operator(P, sys, rho)
-    for lam, M in zip(np.asarray(lambdas, dtype=float), iqcs):
-        H = H + lam * M
-    return H
-
-
 @dataclass
 class RadiusCertificate:
     """Result of the radius computation.
@@ -66,7 +68,10 @@ class RadiusCertificate:
     admits a certificate; 0.0 when every probed rate does).  ``P`` and
     ``lambdas`` certify feasibility at ``rho_cert`` (the bracket's upper
     end) with the reported ``margin``; ``attained`` records whether the
-    margin is already non-positive at ``rho`` itself.
+    margin is already non-positive at ``rho`` itself.  ``probes`` counts
+    the rates classified by the search, including those settled by a
+    stored certificate without a solve; ``ambiguous`` counts those that
+    no certificate settled.
     """
 
     rho: float
@@ -128,18 +133,55 @@ def _certified_dual_slack(sys: SystemData, iqcs: IqcSet, rho: float,
 
 def _certified_above(sys: SystemData, iqcs: IqcSet, result: MarginPrimalResult,
                      strict: float) -> bool:
-    """True when (P, lambda) provably puts this rate strictly above the radius."""
+    """True when (P, lambda) provably puts this rate strictly above the radius.
+
+    The pair must also lie in the set the margin program searches: P >= I
+    and trace(P) + sum(lambda) <= TRACE_CAP (``margin_point`` has already
+    clipped lambda to be nonnegative).
+    """
     if not np.all(np.isfinite(result.P)) or not np.all(np.isfinite(result.lambdas)):
         return False
     if result.s_star > -strict or result.margin_check > -0.5 * strict:
         return False
     if sys.n and float(np.linalg.eigvalsh(result.P)[0]) < 1.0 - 1e-6:
         return False
-    return True
+    return float(np.trace(result.P)) + float(np.sum(result.lambdas)) <= TRACE_CAP
+
+
+def _dual_certificate(sys: SystemData, iqcs: IqcSet, rho: float,
+                      probe: DualFeasibilityResult) -> MarginPrimalResult | None:
+    """The primal point held in the cone duals of a phase-I solve.
+
+    The duals P of the adjoint block and lambda_i of the constraint rows
+    satisfy L_rho(P) + sum_i lambda_i M_i <= t* I (Vandenberghe & Boyd,
+    SIAM Review 38(1), 1996).  Scaled by 1 / lambda_min(P) they have
+    P >= I and the margin t* / lambda_min(P), which is negative above the
+    radius.  Returns None when the duals are absent (a substituted solver
+    need not report them) or P is not positive definite.
+    """
+    duals = probe.solution.cone_duals
+    labels = ["adjoint"] + [f"iqc{i}" for i in range(len(iqcs))]
+    if not sys.n or any(label not in duals for label in labels):
+        return None
+    P = duals["adjoint"]
+    p_min = float(np.linalg.eigvalsh(P)[0])
+    if not p_min > 0:
+        return None
+    lams = np.array([float(duals[f"iqc{i}"][0, 0]) for i in range(len(iqcs))])
+    return margin_point(sys, iqcs, rho, P / p_min, lams / p_min, probe.solution)
 
 
 class _Prober:
-    """Classifies rates against the radius and caches primal certificates."""
+    """Classifies rates against the radius, with one phase-I solve or none.
+
+    Before solving, a rate is tested against the certificates stored so
+    far: the dual Qs of rates found below, then the (P, lambda) of rates
+    found above.  A stored pair that passes is recorded under the new
+    rate too, so the lowest certified rate keeps its certificate.
+    Otherwise one phase-I solve decides: its dual slack certifies
+    "below", or its cone duals certify "above"; the margin program is
+    solved only when that pair fails its re-check.
+    """
 
     def __init__(self, sys, iqcs, strict, eps_t, config, solver):
         self.sys = sys
@@ -150,26 +192,39 @@ class _Prober:
         self.solver = solver
         self.count = 0
         self.ambiguous = 0
-        self.events: list[str] = []
+        self.duals: list[np.ndarray] = []            # Q of each solved "below" rate
+        self.pairs: list[MarginPrimalResult] = []    # (P, lambda) of each solved "above" rate
         self.certs: dict[float, MarginPrimalResult] = {}
+
+    def _below(self, rho: float, Q: np.ndarray | None) -> bool:
+        return _certified_dual_slack(self.sys, self.iqcs, rho, Q) >= -self.eps_t
+
+    def _above(self, rho: float, cert: MarginPrimalResult | None) -> bool:
+        if cert is None or not _certified_above(self.sys, self.iqcs, cert, self.strict):
+            return False
+        self.certs[rho] = cert
+        return True
 
     def classify(self, rho: float) -> str:
         self.count += 1
+        if any(self._below(rho, Q) for Q in self.duals):
+            return "below"
+        if any(self._above(rho, margin_point(self.sys, self.iqcs, rho, pair.P,
+                                             pair.lambdas, pair.solution))
+               for pair in self.pairs):
+            return "above"
         probe = dual_feasibility_margin(self.sys, self.iqcs, rho, self.config,
                                         solver=self.solver)
-        slack = _certified_dual_slack(self.sys, self.iqcs, rho, probe.Q)
-        if slack >= -self.eps_t:
+        if self._below(rho, probe.Q):
+            self.duals.append(probe.Q)
             return "below"
-        margin = solve_margin_primal(self.sys, self.iqcs, rho, self.config,
-                                     solver=self.solver)
-        if _certified_above(self.sys, self.iqcs, margin, self.strict):
-            self.certs[rho] = margin
-            return "above"
-        self.ambiguous += 1
-        if probe.status != "optimal" or margin.status != "optimal":
-            self.events.append(
-                f"rho={rho:.9g}: probe status {probe.status}, margin status {margin.status}")
-        return "ambiguous"
+        if not (self._above(rho, _dual_certificate(self.sys, self.iqcs, rho, probe))
+                or self._above(rho, solve_margin_primal(
+                    self.sys, self.iqcs, rho, self.config, solver=self.solver))):
+            self.ambiguous += 1
+            return "ambiguous"
+        self.pairs.append(self.certs[rho])
+        return "above"
 
 
 def _eig_radius(A: np.ndarray) -> float:

@@ -39,7 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import IqcSet, SystemData, lyapunov_adjoint, lyapunov_operator
+from .model import (IqcSet, SystemData, lyapunov_adjoint, lyapunov_operator,
+                    margin_matrix)
 
 __all__ = [
     "SolverConfig",
@@ -50,6 +51,7 @@ __all__ = [
     "MarginDualResult",
     "DualFeasibilityResult",
     "solve_margin_primal",
+    "margin_point",
     "solve_margin_dual",
     "dual_feasibility_margin",
     "MARGIN_FLOOR",
@@ -591,19 +593,34 @@ def solve_margin_primal(sys: SystemData, iqcs: IqcSet, rho: float,
     run = solver or solve
     pb = _margin_problem(sys, iqcs, rho, margin_floor, trace_cap)
     sol = run(pb, config)
-    s = float(sol.values.get("s", np.nan))
     P = np.asarray(sol.values.get("P", np.eye(sys.n)))
     lams = np.array([float(sol.values.get(f"lam{i}", 0.0)) for i in range(len(iqcs))])
-    lams = np.maximum(lams, 0.0)
-    H = lyapunov_operator(P, sys, rho)
-    for lam, M in zip(lams, iqcs):
-        H = H + lam * M
+    return margin_point(sys, iqcs, rho, P, lams, sol,
+                        s_star=float(sol.values.get("s", np.nan)),
+                        margin_floor=margin_floor, trace_cap=trace_cap)
+
+
+def margin_point(sys: SystemData, iqcs: IqcSet, rho: float, P: np.ndarray,
+                 lambdas: np.ndarray, solution: SdpSolution, *,
+                 s_star: float | None = None,
+                 margin_floor: float = MARGIN_FLOOR,
+                 trace_cap: float = TRACE_CAP) -> MarginPrimalResult:
+    """The point (P, max(lambda, 0)) of the margin program at rate ``rho``.
+
+    ``margin_check`` is the largest eigenvalue of the rate-rho inequality
+    matrix, recomputed here.  ``s_star`` is the solver's margin when the
+    point came from a margin solve; otherwise it is the best margin of the
+    point itself, ``max(margin_check, margin_floor)``.
+    """
+    lams = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
+    H = margin_matrix(sys, iqcs, rho, P, lams)
     margin_check = float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
+    s = max(margin_check, margin_floor) if s_star is None else s_star
     floor_active = s <= margin_floor + 1e-6 * (1 + abs(margin_floor))
     cap_active = (float(np.trace(P)) + float(np.sum(lams))) >= trace_cap * (1 - 1e-6)
-    return MarginPrimalResult(s_star=s, P=P, lambdas=lams, status=sol.status,
+    return MarginPrimalResult(s_star=s, P=P, lambdas=lams, status=solution.status,
                               floor_active=floor_active, cap_active=cap_active,
-                              margin_check=margin_check, solution=sol)
+                              margin_check=margin_check, solution=solution)
 
 
 def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float,

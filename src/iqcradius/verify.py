@@ -34,8 +34,9 @@ from .model import (
     SystemData,
     Trajectory,
     iqc_partial_sums,
+    margin_matrix,
 )
-from .radius import RadiusCertificate, margin_matrix
+from .radius import RadiusCertificate
 from .worstcase import WitnessReport
 
 __all__ = [

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iqcradius import sdp_engine
+from iqcradius import radius, sdp_engine
 from iqcradius.model import IqcSet, SystemData
 from iqcradius.radius import (
     attainment_check,
@@ -12,7 +14,13 @@ from iqcradius.radius import (
     margin_matrix,
     spectral_radius,
 )
-from iqcradius.sdp_engine import SolverConfig, solve_margin_primal
+from iqcradius.sdp_engine import (
+    CERTIFY_CONFIG,
+    TRACE_CAP,
+    SolverConfig,
+    dual_feasibility_margin,
+    solve_margin_primal,
+)
 
 PROBE = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
 
@@ -201,3 +209,110 @@ def test_solver_hook_runs_every_solve(monkeypatch):
     assert len(spy_calls) == n_default > 0
     # No solve went around the hook.
     assert len(default_calls) == n_default
+
+
+def rotation_instance():
+    c, s = np.cos(1.0), np.sin(1.0)
+    sys = SystemData(A=[[c, -s], [s, c]])
+    return sys, IqcSet.from_matrices([[[1.0, 0.0], [0.0, 0.0]]])
+
+
+@pytest.mark.parametrize("case, radius_value", [
+    (gradient_instance(2.0 / 11.0), 9.0 / 11.0),
+    (rotation_instance(), 1.0),
+])
+def test_phase1_duals_certify_rates_above_the_radius(case, radius_value):
+    sys, iqcs = case
+    strict = 1e-8 * (sys.scale() + iqcs.scale())
+    for off in (1e-3, 0.01, 0.1, 0.5):
+        rho = radius_value + off
+        probe = dual_feasibility_margin(sys, iqcs, rho, CERTIFY_CONFIG)
+        assert probe.t_star < 0
+        p_min = float(np.linalg.eigvalsh(probe.solution.cone_duals["adjoint"])[0])
+        cert = radius._dual_certificate(sys, iqcs, rho, probe)
+        assert float(np.linalg.eigvalsh(cert.P)[0]) >= 1.0 - 1e-9
+        assert np.all(cert.lambdas >= 0)
+        H = margin_matrix(sys, iqcs, rho, cert.P, cert.lambdas)
+        assert cert.margin_check == float(np.linalg.eigvalsh(H)[-1])
+        assert cert.margin_check == pytest.approx(probe.t_star / p_min, rel=1e-4)
+        assert radius._certified_above(sys, iqcs, cert, strict)
+
+
+def test_margin_program_solved_only_for_attainment_and_fallbacks(monkeypatch):
+    sys, iqcs = gradient_instance(0.1)
+    solves, margin_calls, failed_pairs = [], [], []
+    in_attainment = []
+    engine_solve = sdp_engine.solve
+    real_margin = radius.solve_margin_primal
+    real_attainment = radius.attainment_check
+    real_dual_certificate = radius._dual_certificate
+
+    def spy(problem, config):
+        solves.append(problem)
+        return engine_solve(problem, config)
+
+    def margin(sys_, iqcs_, rho, *args, **kwargs):
+        margin_calls.append((rho, bool(in_attainment)))
+        return real_margin(sys_, iqcs_, rho, *args, **kwargs)
+
+    def attainment(*args, **kwargs):
+        in_attainment.append(True)
+        try:
+            return real_attainment(*args, **kwargs)
+        finally:
+            in_attainment.pop()
+
+    def dual_certificate(sys_, iqcs_, rho, probe):
+        cert = real_dual_certificate(sys_, iqcs_, rho, probe)
+        strict = 1e-8 * (sys_.scale() + iqcs_.scale())
+        if cert is None or not radius._certified_above(sys_, iqcs_, cert, strict):
+            failed_pairs.append(rho)
+        return cert
+
+    monkeypatch.setattr(radius, "solve_margin_primal", margin)
+    monkeypatch.setattr(radius, "attainment_check", attainment)
+    monkeypatch.setattr(radius, "_dual_certificate", dual_certificate)
+    cert = spectral_radius(sys, iqcs, solver=spy)
+    assert cert.rho == pytest.approx(0.9, abs=1e-5)
+    assert cert.attained
+    assert len(solves) <= 12
+    assert any(attained for _, attained in margin_calls)
+    assert all(attained or rho in failed_pairs for rho, attained in margin_calls)
+
+
+def _random_system(n: int, m: int, with_iqc: bool, seed: int):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    B = rng.normal(size=(n, m))
+    if not with_iqc or m == 0:
+        return SystemData(A=A, B=B), IqcSet.empty(n + m)
+    # Sector [0.5, 2] between u and y = c'x: (u - 0.5 y)(2 y - u) >= 0.
+    T = np.zeros((2, n + 1))
+    T[0, :n] = rng.normal(size=n)
+    T[1, n] = 1.0
+    S = np.array([[-1.0, 1.25], [1.25, -1.0]])
+    return SystemData(A=A, B=B), IqcSet.from_matrices([T.T @ S @ T])
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 4), m=st.integers(0, 1), with_iqc=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_radius_certificate_property(n, m, with_iqc, seed):
+    sys, iqcs = _random_system(n, m, with_iqc, seed)
+    tol = 1e-6
+    cert = spectral_radius(sys, iqcs, bisect_tol=tol)
+    if cert.status != "ok":
+        assert not np.isfinite(cert.rho)
+        return
+    lo, hi = cert.bracket
+    assert lo <= cert.rho <= hi
+    eigen_shortcut = len(iqcs) == 0 and (sys.m == 0 or not np.any(sys.B))
+    if not eigen_shortcut:
+        assert hi - lo <= tol
+    assert cert.rho_cert == hi
+    scale = sys.scale() + iqcs.scale()
+    H = margin_matrix(sys, iqcs, cert.rho_cert, cert.P, cert.lambdas)
+    assert float(np.linalg.eigvalsh(H)[-1]) <= -0.5e-8 * scale
+    assert float(np.linalg.eigvalsh(cert.P)[0]) >= 1.0 - 1e-6
+    assert np.all(cert.lambdas >= 0)
+    assert float(np.trace(cert.P)) + float(np.sum(cert.lambdas)) <= TRACE_CAP
