@@ -422,13 +422,14 @@ def _witness_from_json(blk: dict, iqcs: IqcSet) -> WitnessReport:
                            H=H, v=v)
     gain = None if blk["gain"] is None \
         else _matrix_from_json(blk["gain"], "witness.gain")
+    growth = float(blk["growth"])
     return WitnessReport(
-        modes=modes, trajectory=build_trajectory(modes, 1), gain=gain,
+        modes=modes, trajectory=build_trajectory(modes, 1, growth), gain=gain,
         iqc_lower_bounds=_vector_from_json(blk["iqc_lower_bounds"],
                                            "witness.iqc_lower_bounds"),
         hard_shift=None if blk["hard_shift"] is None
         else int(blk["hard_shift"]),
-        pointwise=bool(blk["pointwise"]), growth=float(blk["growth"]),
+        pointwise=bool(blk["pointwise"]), growth=growth,
         notes=tuple(blk["notes"]))
 
 

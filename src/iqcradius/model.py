@@ -38,6 +38,8 @@ __all__ = [
     "lyapunov_adjoint",
     "margin_matrix",
     "iqc_partial_sums",
+    "dynamics_residual",
+    "DYNAMICS_RTOL",
     "simulate",
 ]
 
@@ -45,6 +47,8 @@ __all__ = [
 # symmetrizing.  Quadratic forms only see the symmetric part, so the fix
 # is always (M + M') / 2; the warning flags inputs that look like bugs.
 SYMMETRY_WARN_REL = 1e-9
+# One-step dynamics residual, relative to the current state norm.
+DYNAMICS_RTOL = 1e-8
 
 
 class DimensionMismatchError(ValueError):
@@ -309,6 +313,21 @@ def iqc_partial_sums(traj: Trajectory, iqcs: IqcSet) -> list[np.ndarray]:
         per_step = np.einsum("ki,ij,kj->k", Z, M, Z)
         sums.append(np.cumsum(per_step))
     return sums
+
+
+def dynamics_residual(sys: SystemData, traj: Trajectory) -> float:
+    """max_k ||x_{k+1} - A x_k - B u_k|| / (1 + ||x_k||).
+
+    The row norms are not rescaled, so a state with an entry beyond about
+    1.3e154 gives inf / inf = NaN even when every state is finite; a NaN
+    here says nothing about the dynamics, and callers that must reject
+    overflowed orbits check finiteness themselves.
+    """
+    if not len(traj):
+        return 0.0
+    X, U = traj.states, traj.inputs
+    step_err = np.linalg.norm(X[1:] - (X[:-1] @ sys.A.T + U @ sys.B.T), axis=1)
+    return float(np.max(step_err / (1.0 + np.linalg.norm(X[:-1], axis=1))))
 
 
 def simulate(sys: SystemData, x0, inputs=None) -> Trajectory:

@@ -129,7 +129,7 @@ class SdpProblem:
         self._obj_const: float = 0.0
         self._psd: list[tuple[int, np.ndarray, list, str]] = []
         self._ineq: list[tuple[float, list, str]] = []
-        self._eq_rows: list[tuple[float, list]] = []
+        self._eq: list[tuple[int, np.ndarray, list]] = []
 
     # -- variables ---------------------------------------------------
     def add_sym_var(self, name: str, dim: int) -> str:
@@ -169,16 +169,15 @@ class SdpProblem:
 
     def add_scalar_eq(self, constant: float, terms: Sequence[tuple[str, Callable]]):
         self._check_terms(terms)
-        self._eq_rows.append((float(constant), list(terms)))
+        self._eq.append((1, np.array([[float(constant)]]), list(terms)))
 
     def add_matrix_eq(self, dim: int, constant, terms: Sequence[tuple[str, Callable]]):
         """Entrywise equality  constant + sum op_v(value_v) == 0  (symmetric)."""
         self._check_terms(terms)
         C = np.zeros((dim, dim)) if constant is None else np.asarray(constant, dtype=float)
-        for i, j in _sym_coords(dim):
-            picked = [(name, (lambda fn, a=i, b=j: (lambda v: float(np.asarray(fn(v))[a, b])))(fn))
-                      for name, fn in terms]
-            self._eq_rows.append((float(C[i, j]), picked))
+        if C.shape != (dim, dim):
+            raise ValueError(f"constant block has shape {C.shape}, expected {(dim, dim)}")
+        self._eq.append((int(dim), C, list(terms)))
 
     def _check_terms(self, terms):
         for name, fn in terms:
@@ -230,14 +229,21 @@ class SdpProblem:
             for off, basis in enumerate(self._var_basis(name)):
                 c[lo + off] += float(fn(basis))
 
-        A_eq = np.zeros((len(self._eq_rows), p))
-        b_eq = np.zeros(len(self._eq_rows))
-        for r, (const, terms) in enumerate(self._eq_rows):
-            b_eq[r] = -const
+        rows = sum(dim * (dim + 1) // 2 for dim, *_ in self._eq)
+        A_eq = np.zeros((rows, p))
+        b_eq = np.zeros(rows)
+        r = 0
+        for dim, const, terms in self._eq:
+            # Flat positions of the upper triangle, row by row.
+            upper = np.array([i * dim + j for i, j in _sym_coords(dim)], dtype=np.intp)
+            rs = slice(r, r + upper.size)
+            b_eq[rs] = -const.reshape(dim * dim)[upper]
             for name, fn in terms:
                 lo, _hi = spans[name]
                 for off, basis in enumerate(self._var_basis(name)):
-                    A_eq[r, lo + off] += float(fn(basis))
+                    out = np.asarray(fn(basis), dtype=float).reshape(dim * dim)
+                    A_eq[rs, lo + off] += out[upper]
+            r = rs.stop
 
         return _Compiled(self, spans, p, blocks, [label for *_, label in entries],
                          F0, cols, c, self._obj_const, A_eq, b_eq)

@@ -17,6 +17,10 @@ its one-step difference obeys the algebraic identity
 
 ``lyapunov_trace`` evaluates both sides and reports their agreement.
 
+The one-step dynamics residual and its tolerance live in ``model``
+(``dynamics_residual``, ``DYNAMICS_RTOL``) and the orbit generator in
+``worstcase`` (``mode_orbit``), shared with the witness pipeline.
+
 Boundedness diagnostics state horizon-bounded facts only (the maximum
 norm, a half-versus-half growth ratio, and a fitted geometric rate); a
 finite trajectory cannot certify a limit, so no field here claims one.
@@ -29,15 +33,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    DYNAMICS_RTOL,
     DimensionMismatchError,
     IqcSet,
     SystemData,
     Trajectory,
+    dynamics_residual,
     iqc_partial_sums,
     margin_matrix,
 )
 from .radius import RadiusCertificate
-from .worstcase import WitnessReport
+from .worstcase import WitnessReport, mode_orbit
 
 __all__ = [
     "LyapunovTrace",
@@ -52,8 +58,6 @@ __all__ = [
 # Agreement tolerance for the telescoped-versus-direct difference
 # identity; it is exact algebra, so only rounding noise is allowed.
 IDENTITY_RTOL = 1e-9
-# One-step dynamics residual, relative to the current state norm.
-DYNAMICS_RTOL = 1e-8
 # Slack allowed below a recorded constraint lower bound.
 IQC_SLACK = 1e-6
 # Allowed drift of the orbit coefficient norm ||F^k v||.
@@ -232,50 +236,18 @@ def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
         raise DimensionMismatchError(
             f"trajectory dimensions (n={traj.n}, m={traj.m}) do not "
             f"match the system (n={sys.n}, m={sys.m})")
-    X, U = traj.states, traj.inputs
-    if len(traj):
-        pred = X[:-1] @ sys.A.T + U @ sys.B.T
-        step_err = np.linalg.norm(X[1:] - pred, axis=1)
-        state_norm = np.linalg.norm(X[:-1], axis=1)
-        residual = float(np.max(step_err / (1.0 + state_norm)))
-    else:
-        residual = 0.0
+    residual = dynamics_residual(sys, traj)
     if iqcs is not None and len(iqcs):
         minima = np.array([float(s.min()) for s in iqc_partial_sums(traj, iqcs)])
     else:
         minima = np.zeros(0)
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.linalg.norm(traj.states, axis=1)
     max_norm, ratio, rate, growing = _growth_facts(norms)
     return TrajectoryDiagnostics(
         steps=len(traj), dynamics_residual=residual,
         dynamics_ok=residual <= DYNAMICS_RTOL, iqc_minima=minima,
         max_norm=max_norm, growth_ratio=ratio, growth_rate=rate,
         growing=growing)
-
-
-def _witness_orbit(report: WitnessReport, horizon: int):
-    """Regenerate the mode orbit: coefficients z_k and weighted (x_k, u_k)."""
-    modes = report.modes
-    v = np.asarray(modes.v, dtype=float)
-    growth = float(report.growth)
-    if growth > 1.0:
-        # Keep the weighted states, and their squared norms, inside the
-        # floating-point range.
-        cap = int(np.floor(300.0 / np.log(growth)))
-        horizon = min(horizon, max(cap, 1))
-    Z = np.empty((horizon + 1, modes.d))
-    z = v.copy()
-    for k in range(horizon + 1):
-        Z[k] = z
-        z = modes.F @ z
-    weights = growth ** np.arange(horizon + 1) if growth != 1.0 else None
-    states = Z @ modes.X.T
-    inputs = Z[:-1] @ modes.U.T
-    if weights is not None:
-        states = states * weights[:, None]
-        inputs = inputs * weights[:-1, None]
-    return Z, Trajectory(states=states, inputs=inputs,
-                         provenance="regenerated worst-case mode orbit")
 
 
 def check_witness(sys: SystemData, report: WitnessReport,
@@ -299,11 +271,16 @@ def check_witness(sys: SystemData, report: WitnessReport,
             f"report records {bounds.size} constraint bounds but the "
             f"problem supplies {len(iqcs)} constraints")
     notes: list[str] = []
-    horizon = int(horizon)
-    Z, traj = _witness_orbit(report, horizon)
-    if len(traj) < horizon:
+    horizon = steps = int(horizon)
+    growth = float(report.growth)
+    if growth > 1.0:
+        # Keep the weighted states, and their squared norms, inside the
+        # floating-point range.
+        steps = min(steps, max(int(np.floor(300.0 / np.log(growth))), 1))
+    Z, traj = mode_orbit(report.modes, steps, growth)
+    if steps < horizon:
         notes.append(
-            f"horizon shortened to {len(traj)} steps to keep the "
+            f"horizon shortened to {steps} steps to keep the "
             f"growth-weighted orbit finite")
 
     diag = trajectory_diagnostics(sys, traj, iqcs)

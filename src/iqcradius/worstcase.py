@@ -25,9 +25,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    DYNAMICS_RTOL,
     IqcSet,
     SystemData,
     Trajectory,
+    dynamics_residual,
     lyapunov_adjoint,
     symmetrize,
 )
@@ -451,8 +453,14 @@ def _condition_slacks(modes: WorstCaseModes, v: np.ndarray) -> np.ndarray:
     return np.array([float((v @ S @ v).real) for S in _group_sum_matrices(modes)])
 
 
-def _verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
-    """Empty string when v certifies the sign condition, else the defect."""
+def verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
+    """Re-check a direction against the group-wise sign condition.
+
+    Returns an empty string when ``v`` is finite, has ``Xv`` outside the
+    null space of ``X``, and every group-projected constraint form is
+    nonnegative within tolerance; otherwise a description of the defect.
+    Used to re-verify recorded witnesses without re-solving anything.
+    """
     if v is None or not np.all(np.isfinite(v)):
         return "direction is not finite"
     xnorm = float(np.linalg.norm(modes.X @ v))
@@ -462,17 +470,6 @@ def _verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
     if slacks.size and float(slacks.min()) < -1e-8:
         return f"projected constraint form is negative ({float(slacks.min()):.3e})"
     return ""
-
-
-def verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
-    """Re-check a direction against the group-wise sign condition.
-
-    Returns an empty string when ``v`` is finite, has ``Xv`` outside the
-    null space of ``X``, and every group-projected constraint form is
-    nonnegative within tolerance; otherwise a description of the defect.
-    Used to re-verify recorded witnesses without re-solving anything.
-    """
-    return _verify_direction(modes, v)
 
 
 def technical_condition(modes: WorstCaseModes, iqcs: IqcSet | None = None,
@@ -492,7 +489,7 @@ def technical_condition(modes: WorstCaseModes, iqcs: IqcSet | None = None,
     failures: list[str] = []
 
     def accept(v, method):
-        defect = _verify_direction(modes, v)
+        defect = verify_direction(modes, v)
         if not defect:
             return TechnicalConditionResult(v=v, method=method, reason="")
         failures.append(f"{method}: {defect}")
@@ -586,27 +583,36 @@ def _relaxed_direction(modes: WorstCaseModes, config: SolverConfig | None,
 # stage 6: trajectory and derived quantities
 
 
-def _orbit(modes: WorstCaseModes, count: int) -> np.ndarray:
-    """Rows z_k = F^k v for k = 0..count-1."""
+def mode_orbit(modes: WorstCaseModes, horizon: int,
+               growth: float = 1.0) -> tuple[np.ndarray, Trajectory]:
+    """Rows z_k = F^k v, k = 0..horizon, and the orbit growth^k [X; U] z_k.
+
+    Nothing caps the horizon: a large ``growth ** horizon`` overflows.
+    """
     if modes.v is None:
         raise ValueError("modes carry no direction v")
-    Z = np.empty((count, modes.d))
+    Z = np.empty((horizon + 1, modes.d))
     z = np.asarray(modes.v, dtype=float).copy()
-    for k in range(count):
+    for k in range(horizon + 1):
         Z[k] = z
         z = modes.F @ z
-    return Z
-
-
-def build_trajectory(modes: WorstCaseModes, horizon: int) -> Trajectory:
-    """The mode orbit [x_k; u_k] = [X; U] F^k v over ``horizon`` steps."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    Z = _orbit(modes, horizon + 1)
     states = Z @ modes.X.T
     inputs = Z[:horizon] @ modes.U.T
-    return Trajectory(states=states, inputs=inputs,
-                      provenance="worst-case mode orbit")
+    provenance = "worst-case mode orbit"
+    if growth != 1.0:
+        weights = growth ** np.arange(horizon + 1)
+        states = states * weights[:, None]
+        inputs = inputs * weights[:horizon, None]
+        provenance += f", geometric growth {growth:.6g}"
+    return Z, Trajectory(states=states, inputs=inputs, provenance=provenance)
+
+
+def build_trajectory(modes: WorstCaseModes, horizon: int,
+                     growth: float = 1.0) -> Trajectory:
+    """The mode orbit [x_k; u_k] = growth^k [X; U] F^k v over ``horizon`` steps."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    return mode_orbit(modes, horizon, growth)[1]
 
 
 def iqc_sum_lower_bound(modes: WorstCaseModes, iqcs: IqcSet | None = None) -> np.ndarray:
@@ -674,9 +680,7 @@ def hard_iqc_shift(modes: WorstCaseModes, iqcs: IqcSet | None = None,
     """
     if len(modes.H) != 1:
         raise ValueError("the shift argument applies to exactly one constraint")
-    if modes.v is None:
-        raise ValueError("modes carry no direction v")
-    Z = _orbit(modes, n_max)
+    Z, _ = mode_orbit(modes, n_max - 1)
     per_step = np.einsum("ki,ij,kj->k", Z, modes.H[0], Z)
     sums = np.cumsum(per_step)
     n_star = int(np.argmin(sums)) + 1
@@ -698,7 +702,7 @@ def pointwise_check(modes: WorstCaseModes, iqcs: IqcSet | None = None,
         return False
     if modes.v is None or not modes.H:
         return modes.v is not None
-    Z = _orbit(modes, horizon)
+    Z, _ = mode_orbit(modes, horizon - 1)
     for Hi in modes.H:
         per_step = np.einsum("ki,ij,kj->k", Z, Hi, Z)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(per_step), initial=0.0)))
@@ -818,23 +822,14 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                     f"sign condition not certified ({cond.reason})", modes)
     modes = replace(modes, v=cond.v)
 
-    base = build_trajectory(modes, horizon)
-    if growth != 1.0:
-        weights = growth ** np.arange(horizon + 1)
-        traj = Trajectory(states=base.states * weights[:, None],
-                          inputs=base.inputs * weights[:horizon, None],
-                          provenance=f"worst-case mode orbit, geometric growth {growth:.6g}")
-    else:
-        traj = base
-
-    step_err = traj.states[1:] - traj.states[:-1] @ sys.A.T
-    if sys.m:
-        step_err = step_err - traj.inputs @ sys.B.T
-    norms = np.linalg.norm(traj.states[:-1], axis=1)
-    worst = float(np.max(np.linalg.norm(step_err, axis=1) / (1.0 + norms)))
-    if worst > 1e-8:
+    traj = build_trajectory(modes, horizon, growth)
+    if not (np.isfinite(traj.states).all() and np.isfinite(traj.inputs).all()):
         return fail("trajectory-assembly",
-                    f"dynamics residual {worst:.3e} exceeds tolerance", modes)
+                    f"growth-weighted orbit overflows within {horizon} steps", modes)
+    residual = dynamics_residual(sys, traj)
+    if residual > DYNAMICS_RTOL:
+        return fail("trajectory-assembly",
+                    f"dynamics residual {residual:.3e} exceeds tolerance", modes)
 
     notes: list[str] = []
     gain = feedback_gain(modes)

@@ -42,6 +42,41 @@ def test_solve_smallest_dominating_multiple_of_identity():
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
 
 
+def test_matrix_equality_compiles_like_its_scalar_rows():
+    """add_matrix_eq gives one row per upper-triangle entry, row by row."""
+    A = np.array([[0.3, -1.2, 0.5], [0.7, 0.1, -0.4], [-0.6, 0.9, 0.2]])
+    C = np.array([[1.0, 2.0, -3.0], [4.0, 5.0, 6.0], [7.0, -8.0, 9.0]])
+
+    def op(Xm, t):
+        return A @ Xm @ A.T - Xm + t * C.T
+
+    def build(matrix_form):
+        pb = SdpProblem()
+        pb.add_sym_var("X", 3)
+        pb.add_scalar_var("t")
+        pb.minimize([("t", lambda v: v)])
+        pb.add_scalar_eq(-1.0, [("X", lambda Xm: float(np.trace(Xm)))])
+        terms = [("X", lambda Xm: op(Xm, 0.0)), ("t", lambda v: op(np.zeros((3, 3)), v)),
+                 ("X", lambda Xm: 0.5 * Xm)]
+        if matrix_form:
+            pb.add_matrix_eq(3, C, terms)
+        else:
+            for i in range(3):
+                for j in range(i, 3):
+                    pb.add_scalar_eq(C[i, j], [
+                        (name, (lambda f, a, b: (lambda v: float(f(v)[a, b])))(fn, i, j))
+                        for name, fn in terms])
+        pb.add_scalar_eq(0.5, [("t", lambda v: v)])
+        return pb.compile()
+
+    got, want = build(True), build(False)
+    assert got.A_eq.shape == (8, 7)
+    assert got.A_eq.tobytes() == want.A_eq.tobytes()
+    assert got.b_eq.tobytes() == want.b_eq.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        SdpProblem().add_matrix_eq(2, np.eye(3), [])
+
+
 def test_solver_config_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         SolverConfig(feas_tol=0.0)

@@ -30,6 +30,7 @@ from iqcradius.worstcase import (
     build_trajectory,
     build_witness,
     eigen_group,
+    mode_orbit,
 )
 
 SECTOR = [[-10.0, 5.5], [5.5, -1.0]]
@@ -187,3 +188,24 @@ def test_check_witness_caps_growing_horizon():
     assert result.growing
     assert result.steps < 10_000
     assert any("shortened" in note for note in result.notes)
+
+
+@pytest.mark.parametrize("sys, iqcs, rho", [
+    (SystemData(A=[[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]]),
+     IqcSet.from_matrices([[[1.0, 0.0], [0.0, 0.0]]]), 1.0),
+    (SystemData(A=1.5 * np.array([[np.cos(np.pi / 3), np.sin(np.pi / 3)],
+                                  [-np.sin(np.pi / 3), np.cos(np.pi / 3)]])),
+     IqcSet.empty(2), 1.5),
+], ids=["boundary-with-iqc", "growth"])
+def test_check_witness_orbit_extends_the_witness_trajectory(sys, iqcs, rho):
+    """The verifier's longer orbit starts with the pipeline's, bit for bit."""
+    outcome = build_witness(sys, iqcs, rho=rho, horizon=300)
+    assert outcome.ok, outcome.reason
+    report = outcome.report
+    assert report.growth == rho
+    Z, longer = mode_orbit(report.modes, 500, report.growth)
+    traj = outcome.trajectory
+    assert Z.shape == (501, report.modes.d)
+    assert longer.states[:301].tobytes() == traj.states.tobytes()
+    assert longer.inputs[:300].tobytes() == traj.inputs.tobytes()
+    assert check_witness(sys, report, iqcs, horizon=500).ok

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
+from iqcradius.verify import check_witness
 from iqcradius.worstcase import (
     WorstCaseModes,
     build_trajectory,
@@ -427,6 +428,29 @@ def test_growth_mode_above_one():
     assert outcome.ok, outcome.reason
     norms = np.linalg.norm(outcome.report.trajectory.states, axis=1)
     assert norms[-1] > 10 * norms[0]
+
+
+def test_growth_orbit_overflow_stops_at_trajectory_assembly():
+    """States that overflow to inf must not pass the dynamics gate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0, horizon=2000)
+    assert not outcome.ok
+    assert outcome.stage == "trajectory-assembly"
+    assert "overflows" in outcome.reason
+    assert outcome.trajectory is None
+
+
+def test_growth_orbit_with_finite_states_beyond_norm_range_is_kept():
+    """Finite states whose squared norms overflow still make a witness."""
+    sys = SystemData(A=5.0 * rotation(np.pi / 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = build_witness(sys, IqcSet.empty(2), rho=5.0)
+    assert outcome.ok, outcome.reason
+    states = outcome.report.trajectory.states
+    assert len(outcome.report.trajectory) == 300
+    assert np.isfinite(states).all()
+    assert np.abs(states).max() > 1e200
+    assert check_witness(sys, outcome.report, IqcSet.empty(2)).ok
 
 
 def test_rejects_rank_deficient_input_matrix():
