@@ -41,6 +41,7 @@ environment, and command-line flags override everything.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -687,7 +688,9 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="iqcradius",
         description="Certified spectral-radius analysis of discrete-time "
@@ -732,8 +735,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True,
                    help="write the augmented problem here")
     p.set_defaults(func=cmd_augment)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProblemFormatError as exc:

@@ -20,6 +20,8 @@ its one-step difference obeys the algebraic identity
 The one-step dynamics residual and its tolerance live in ``model``
 (``dynamics_residual``, ``DYNAMICS_RTOL``) and the orbit generator in
 ``worstcase`` (``mode_orbit``), shared with the witness pipeline.
+``check_witness`` regenerates the orbit by block doubling; its rows
+begin bit for bit with the witness trajectory.
 
 Boundedness diagnostics state horizon-bounded facts only (the maximum
 norm, a half-versus-half growth ratio, and a fitted geometric rate); a

@@ -8,8 +8,12 @@ plane rotations, scalar marginal systems, and diagonal constraint
 matrices whose partial sums can be brute-forced.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
 from iqcradius.verify import check_witness
@@ -22,6 +26,7 @@ from iqcradius.worstcase import (
     feedback_gain,
     hard_iqc_shift,
     iqc_sum_lower_bound,
+    mode_orbit,
     pointwise_check,
     rank_factor,
     recover_orthogonal_factor,
@@ -438,6 +443,37 @@ def test_growth_orbit_overflow_stops_at_trajectory_assembly():
     assert outcome.stage == "trajectory-assembly"
     assert "overflows" in outcome.reason
     assert outcome.trajectory is None
+
+
+def test_growth_orbit_overflow_warns_nothing():
+    """The overflowing weights are rejected by the finiteness gate, quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0, horizon=2000)
+    assert outcome.stage == "trajectory-assembly"
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       horizon=st.integers(0, 10**4), extra=st.integers(1, 10**4))
+def test_mode_orbit_matches_the_step_loop(seed, d, horizon, extra):
+    rng = np.random.default_rng(seed)
+    F, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v = rng.standard_normal(d)
+    modes = WorstCaseModes(Q=np.eye(d), d=d, X=np.eye(d), U=np.zeros((0, d)),
+                           F=F, groups=(), H=(), v=v)
+    Z, _ = mode_orbit(modes, horizon)
+
+    reference = np.empty_like(Z)
+    z = v.copy()
+    for k in range(horizon + 1):
+        reference[k] = z
+        z = F @ z
+    tol = 1e-11 * np.linalg.norm(v)
+    assert np.abs(Z - reference).max() <= tol
+    assert np.abs(Z[1:] - Z[:-1] @ F.T).max(initial=0.0) <= tol
+
+    longer, _ = mode_orbit(modes, horizon + extra)
+    assert longer[:horizon + 1].tobytes() == Z.tobytes()
 
 
 def test_growth_orbit_with_finite_states_beyond_norm_range_is_kept():
