@@ -257,6 +257,23 @@ def quadratic_form(M: np.ndarray, x: np.ndarray, u: np.ndarray | None = None) ->
     return val
 
 
+def _lyapunov_stack(X: np.ndarray, sys: SystemData, rho: float,
+                    adjoint: bool = False) -> np.ndarray:
+    """``L_rho``, or ``L_rho*`` when ``adjoint``, of each matrix of the stack X.
+
+    ``X`` is ``(k, n, n)`` for the operator and ``(k, n+m, n+m)`` for the
+    adjoint; no validation.  Each output matrix is the one the 2-D public
+    function returns for that input.
+    """
+    n, G = sys.n, sys.AB
+    if adjoint:
+        out = G @ X @ G.T - rho * rho * X[:, :n, :n]
+    else:
+        out = G.T @ X @ G
+        out[:, :n, :n] -= rho * rho * X
+    return 0.5 * (out + out.swapaxes(1, 2))
+
+
 def lyapunov_operator(P: np.ndarray, sys: SystemData, rho: float = 1.0) -> np.ndarray:
     """Lyapunov-difference map ``[[A'PA - rho^2 P, A'PB], [B'PA, B'PB]]``.
 
@@ -267,10 +284,7 @@ def lyapunov_operator(P: np.ndarray, sys: SystemData, rho: float = 1.0) -> np.nd
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     P = symmetrize(_as_matrix(P, rows=sys.n, cols=sys.n, name="P"), name="P")
-    G = sys.AB
-    out = G.T @ P @ G
-    out[:sys.n, :sys.n] -= rho * rho * P
-    return 0.5 * (out + out.T)
+    return _lyapunov_stack(P[None], sys, rho)[0]
 
 
 def lyapunov_adjoint(Q: np.ndarray, sys: SystemData, rho: float = 1.0) -> np.ndarray:
@@ -284,9 +298,7 @@ def lyapunov_adjoint(Q: np.ndarray, sys: SystemData, rho: float = 1.0) -> np.nda
         raise ValueError(f"rho must be positive, got {rho}")
     d = sys.n + sys.m
     Q = symmetrize(_as_matrix(Q, rows=d, cols=d, name="Q"), name="Q")
-    G = sys.AB
-    out = G @ Q @ G.T - rho * rho * Q[:sys.n, :sys.n]
-    return 0.5 * (out + out.T)
+    return _lyapunov_stack(Q[None], sys, rho, adjoint=True)[0]
 
 
 def margin_matrix(sys: SystemData, iqcs: IqcSet, rho: float,
@@ -321,13 +333,15 @@ def dynamics_residual(sys: SystemData, traj: Trajectory) -> float:
     The row norms are not rescaled, so a state with an entry beyond about
     1.3e154 gives inf / inf = NaN even when every state is finite; a NaN
     here says nothing about the dynamics, and callers that must reject
-    overflowed orbits check finiteness themselves.
+    overflowed orbits check finiteness themselves.  That overflow is
+    expected, so it raises no warning.
     """
     if not len(traj):
         return 0.0
     X, U = traj.states, traj.inputs
-    step_err = np.linalg.norm(X[1:] - (X[:-1] @ sys.A.T + U @ sys.B.T), axis=1)
-    return float(np.max(step_err / (1.0 + np.linalg.norm(X[:-1], axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_err = np.linalg.norm(X[1:] - (X[:-1] @ sys.A.T + U @ sys.B.T), axis=1)
+        return float(np.max(step_err / (1.0 + np.linalg.norm(X[:-1], axis=1))))
 
 
 def simulate(sys: SystemData, x0, inputs=None) -> Trajectory:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .model import (IqcSet, SystemData, Trajectory, lyapunov_adjoint,
                     margin_matrix, simulate)
-from .sdp_engine import (CERTIFY_CONFIG, TRACE_CAP, DualFeasibilityResult,
+from .sdp_engine import (TRACE_CAP, DualFeasibilityResult,
                          MarginPrimalResult, SolverConfig,
                          dual_feasibility_margin, margin_point,
                          solve_margin_primal)
@@ -255,7 +255,7 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     scale = sys.scale() + iqcs.scale()
     strict = strict_eps * scale
     eps_t = 1e-9 * scale
-    prober = _Prober(sys, iqcs, strict, eps_t, config or CERTIFY_CONFIG, solver)
+    prober = _Prober(sys, iqcs, strict, eps_t, config or SolverConfig(), solver)
 
     def build(rho, lo, hi, status="ok", message=""):
         cert_rho = min(prober.certs) if prober.certs else None
@@ -369,7 +369,7 @@ def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
     iqcs.check_matches(sys)
     scale = sys.scale() + iqcs.scale()
     tol = strict_eps * scale
-    result = solve_margin_primal(sys, iqcs, rho, config or CERTIFY_CONFIG, solver=solver)
+    result = solve_margin_primal(sys, iqcs, rho, config or SolverConfig(), solver=solver)
     attained = (np.all(np.isfinite(result.P))
                 and result.margin_check <= 2.0 * tol
                 and float(np.linalg.eigvalsh(result.P)[0]) >= 1.0 - 1e-6)

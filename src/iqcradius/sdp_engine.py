@@ -8,7 +8,8 @@ module provides
 
   * :class:`SdpProblem` -- a tiny builder for block-structured affine
     SDPs (symmetric matrix and scalar variables, PSD constraints, scalar
-    inequalities, equality constraints),
+    inequalities, equality constraints), each term given by the
+    coefficient stack of its variable over :func:`svec_basis`,
   * :func:`solve` -- a dense primal-dual interior-point method
     (Mehrotra predictor-corrector with the HKM direction of Helmberg,
     Rendl, Vanderbei & Wolkowicz 1996) for the compiled standard form
@@ -30,6 +31,12 @@ The engine is deliberately self-contained (dense numpy only) and is
 meant for desk-scale problems, at most a few thousand scalar unknowns.
 An external solver can be substituted anywhere a ``solver=`` callable is
 accepted; it must map ``(SdpProblem, SolverConfig) -> SdpSolution``.
+It receives the program as data: ``SdpProblem.compile()`` returns the
+standard form ``F0``, ``cols``, ``c``, ``A_eq``, ``b_eq`` with the block
+sizes and labels, and ``SdpProblem.extract`` maps a solution vector ``y``
+back to the named variables.  The domain programs state every term as
+arrays, built from one ``svec_basis`` stack and one batched call of the
+Lyapunov maps, so a substituted solver never calls back into the model.
 """
 
 from __future__ import annotations
@@ -39,8 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (IqcSet, SystemData, lyapunov_adjoint, lyapunov_operator,
-                    margin_matrix)
+from .model import IqcSet, SystemData, _lyapunov_stack, margin_matrix
 
 __all__ = [
     "SolverConfig",
@@ -56,7 +62,7 @@ __all__ = [
     "dual_feasibility_margin",
     "MARGIN_FLOOR",
     "TRACE_CAP",
-    "CERTIFY_CONFIG",
+    "svec_basis",
 ]
 
 # Lower bound on the margin objective and cap on trace(P) + sum(lambda).
@@ -71,11 +77,15 @@ TRACE_CAP = 1e6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances for the interior-point engine."""
+    """Tolerances for the interior-point engine.
 
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    max_iter: int = 200
+    The defaults are the ones every certificate search in the package
+    uses: radius probes, attainment checks and witness extraction.
+    """
+
+    feas_tol: float = 1e-10
+    gap_tol: float = 1e-10
+    max_iter: int = 300
     step_fraction: float = 0.98
     verbose: bool = False
 
@@ -88,22 +98,23 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-# Tolerances of the certificate searches (radius probes, attainment checks
-# and witness extraction) when the caller passes no config.
-CERTIFY_CONFIG = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
-
-
-def _sym_coords(d: int):
-    for i in range(d):
-        for j in range(i, d):
-            yield i, j
-
-
-def _sym_basis(d: int, i: int, j: int) -> np.ndarray:
-    E = np.zeros((d, d))
-    E[i, j] = 1.0
-    E[j, i] = 1.0
+def svec_basis(d: int) -> np.ndarray:
+    """The ``(d(d+1)/2, d, d)`` stack of symmetric unit matrices E_ij + E_ji
+    (E_ii on the diagonal), upper triangle row by row: the order in which
+    :class:`SdpProblem` numbers the coordinates of a symmetric variable.
+    """
+    i, j = _upper(d)
+    E = np.zeros((i.size, d, d))
+    k = np.arange(i.size)
+    E[k, i, j] = 1.0
+    E[k, j, i] = 1.0
     return E
+
+
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle, row by row (as
+    ``np.triu_indices``, at a third of its cost for small ``d``)."""
+    return np.nonzero(~np.tri(d, k=-1, dtype=bool))
 
 
 def _block_slices(blocks: Sequence[int]) -> list[slice]:
@@ -117,117 +128,108 @@ class SdpProblem:
 
     Variables are symmetric matrix blocks or scalars.  Constraints are
     affine:  ``constant + sum_v op_v(value_v)``  must be PSD, zero, or a
-    nonnegative scalar.  Each ``op_v`` must be a *linear* map of its
-    variable (any constant part belongs in ``constant``); it is sampled
-    on basis elements during compilation.
+    nonnegative scalar.  Each term ``(name, coeffs)`` states ``op_v`` by
+    its coefficients: ``coeffs[k]`` is ``op_v`` of the k-th basis element
+    of the variable, so ``coeffs`` has shape ``(k, dim, dim)`` in a PSD
+    block or a matrix equality and ``(k,)`` in a scalar row or the
+    objective.  ``k`` is 1 for a scalar variable and ``d(d+1)/2`` for a
+    symmetric one, whose basis is :func:`svec_basis`.  Every term is
+    therefore linear by construction; shapes are checked when a term is
+    added.
     """
 
     def __init__(self):
-        self._vars: dict[str, tuple] = {}
-        self._order: list[str] = []
-        self._obj_terms: list[tuple[str, Callable]] = []
+        self._dims: dict[str, int | None] = {}     # None for a scalar
+        self._spans: dict[str, tuple[int, int]] = {}
+        self._p = 0
+        self._obj_terms: list = []
         self._obj_const: float = 0.0
         self._psd: list[tuple[int, np.ndarray, list, str]] = []
-        self._ineq: list[tuple[float, list, str]] = []
+        self._ineq: list[tuple[int, np.ndarray, list, str]] = []
         self._eq: list[tuple[int, np.ndarray, list]] = []
 
     # -- variables ---------------------------------------------------
     def add_sym_var(self, name: str, dim: int) -> str:
-        if name in self._vars:
-            raise ValueError(f"variable {name!r} already declared")
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        self._vars[name] = ("sym", int(dim))
-        self._order.append(name)
-        return name
+        return self._declare(name, int(dim), dim * (dim + 1) // 2)
 
     def add_scalar_var(self, name: str) -> str:
-        if name in self._vars:
+        return self._declare(name, None, 1)
+
+    def _declare(self, name: str, dim: int | None, size: int) -> str:
+        """Give the variable the next ``size`` coordinates of y."""
+        if name in self._dims:
             raise ValueError(f"variable {name!r} already declared")
-        self._vars[name] = ("scalar",)
-        self._order.append(name)
+        self._dims[name] = dim
+        self._spans[name] = (self._p, self._p + size)
+        self._p += size
         return name
 
     # -- objective and constraints ------------------------------------
-    def minimize(self, terms: Sequence[tuple[str, Callable]], constant: float = 0.0):
-        self._check_terms(terms)
-        self._obj_terms = list(terms)
+    def minimize(self, terms, constant: float = 0.0):
+        self._obj_terms = self._terms(terms, ())
         self._obj_const = float(constant)
 
-    def add_psd(self, dim: int, constant, terms: Sequence[tuple[str, Callable]],
-                label: str = ""):
-        self._check_terms(terms)
-        C = np.zeros((dim, dim)) if constant is None else np.asarray(constant, dtype=float)
-        if C.shape != (dim, dim):
-            raise ValueError(f"constant block has shape {C.shape}, expected {(dim, dim)}")
-        self._psd.append((int(dim), 0.5 * (C + C.T), list(terms), label))
+    def add_psd(self, dim: int, constant, terms, label: str = ""):
+        self._psd.append((int(dim), self._constant(dim, constant, symmetric=True),
+                          self._terms(terms, (dim, dim)), label))
 
-    def add_scalar_ineq(self, constant: float, terms: Sequence[tuple[str, Callable]],
-                        label: str = ""):
-        self._check_terms(terms)
-        self._ineq.append((float(constant), list(terms), label))
+    def add_scalar_ineq(self, constant: float, terms, label: str = ""):
+        self._ineq.append((1, np.array([[float(constant)]]), self._rows(terms), label))
 
-    def add_scalar_eq(self, constant: float, terms: Sequence[tuple[str, Callable]]):
-        self._check_terms(terms)
-        self._eq.append((1, np.array([[float(constant)]]), list(terms)))
+    def add_scalar_eq(self, constant: float, terms):
+        self._eq.append((1, np.array([[float(constant)]]), self._rows(terms)))
 
-    def add_matrix_eq(self, dim: int, constant, terms: Sequence[tuple[str, Callable]]):
+    def add_matrix_eq(self, dim: int, constant, terms):
         """Entrywise equality  constant + sum op_v(value_v) == 0  (symmetric)."""
-        self._check_terms(terms)
+        self._eq.append((int(dim), self._constant(dim, constant),
+                         self._terms(terms, (dim, dim))))
+
+    @staticmethod
+    def _constant(dim, constant, symmetric=False) -> np.ndarray:
         C = np.zeros((dim, dim)) if constant is None else np.asarray(constant, dtype=float)
         if C.shape != (dim, dim):
             raise ValueError(f"constant block has shape {C.shape}, expected {(dim, dim)}")
-        self._eq.append((int(dim), C, list(terms)))
+        return 0.5 * (C + C.T) if symmetric else C
 
-    def _check_terms(self, terms):
-        for name, fn in terms:
-            if name not in self._vars:
+    def _terms(self, terms, shape: tuple) -> list:
+        """Each term's coefficients, checked to be an array of shape (k,) + shape."""
+        out = []
+        for name, coeffs in terms:
+            if name not in self._dims:
                 raise ValueError(f"constraint references undeclared variable {name!r}")
-            if not callable(fn):
-                raise ValueError(f"term for {name!r} must be callable")
+            lo, hi = self._spans[name]
+            want = (hi - lo,) + shape
+            try:
+                a = np.asarray(coeffs, dtype=float)
+            except (TypeError, ValueError):     # a callable, a ragged list, ...
+                a = None
+            if a is None or a.shape != want:
+                raise ValueError(f"term for {name!r} must be an array of shape {want}")
+            out.append((name, a))
+        return out
+
+    def _rows(self, terms) -> list:
+        """Scalar-row terms, (k,) each, as coefficients of a 1 x 1 block."""
+        return [(name, a.reshape(-1, 1, 1)) for name, a in self._terms(terms, ())]
 
     # -- compilation ---------------------------------------------------
-    def _var_basis(self, name: str):
-        kind = self._vars[name]
-        if kind[0] == "scalar":
-            yield 1.0
-        else:
-            d = kind[1]
-            for i, j in _sym_coords(d):
-                yield _sym_basis(d, i, j)
-
-    def _var_span(self):
-        spans = {}
-        p = 0
-        for name in self._order:
-            kind = self._vars[name]
-            size = 1 if kind[0] == "scalar" else kind[1] * (kind[1] + 1) // 2
-            spans[name] = (p, p + size)
-            p += size
-        return spans, p
-
     def compile(self):
-        spans, p = self._var_span()
-        entries = [(dim, C, terms, label) for dim, C, terms, label in self._psd if dim]
-        entries += [(1, np.array([[const]]), terms, label)
-                    for const, terms, label in self._ineq]
+        spans, p = dict(self._spans), self._p
+        entries = [entry for entry in self._psd if entry[0]] + self._ineq
         blocks = [dim for dim, *_ in entries]
         D = sum(blocks)
         F0 = np.zeros((D, D))
         cols = np.zeros((p, D, D))
         for (dim, const, terms, _label), sl in zip(entries, _block_slices(blocks)):
             F0[sl, sl] = const
-            for name, fn in terms:
-                lo, _hi = spans[name]
-                for off, basis in enumerate(self._var_basis(name)):
-                    out = np.asarray(fn(basis), dtype=float).reshape(dim, dim)
-                    cols[lo + off, sl, sl] += 0.5 * (out + out.T)
+            for name, a in terms:
+                cols[slice(*spans[name]), sl, sl] += 0.5 * (a + a.swapaxes(1, 2))
 
         c = np.zeros(p)
-        for name, fn in self._obj_terms:
-            lo, _hi = spans[name]
-            for off, basis in enumerate(self._var_basis(name)):
-                c[lo + off] += float(fn(basis))
+        for name, a in self._obj_terms:
+            c[slice(*spans[name])] += a
 
         rows = sum(dim * (dim + 1) // 2 for dim, *_ in self._eq)
         A_eq = np.zeros((rows, p))
@@ -235,14 +237,12 @@ class SdpProblem:
         r = 0
         for dim, const, terms in self._eq:
             # Flat positions of the upper triangle, row by row.
-            upper = np.array([i * dim + j for i, j in _sym_coords(dim)], dtype=np.intp)
+            i, j = _upper(dim)
+            upper = i * dim + j
             rs = slice(r, r + upper.size)
             b_eq[rs] = -const.reshape(dim * dim)[upper]
-            for name, fn in terms:
-                lo, _hi = spans[name]
-                for off, basis in enumerate(self._var_basis(name)):
-                    out = np.asarray(fn(basis), dtype=float).reshape(dim * dim)
-                    A_eq[rs, lo + off] += out[upper]
+            for name, a in terms:
+                A_eq[rs, slice(*spans[name])] += a.reshape(len(a), dim * dim)[:, upper].T
             r = rs.stop
 
         return _Compiled(self, spans, p, blocks, [label for *_, label in entries],
@@ -250,14 +250,13 @@ class SdpProblem:
 
     def extract(self, name: str, y: np.ndarray, spans) -> np.ndarray | float:
         lo, hi = spans[name]
-        kind = self._vars[name]
-        if kind[0] == "scalar":
+        d = self._dims[name]
+        if d is None:
             return float(y[lo])
-        d = kind[1]
+        i, j = _upper(d)
         X = np.zeros((d, d))
-        for off, (i, j) in enumerate(_sym_coords(d)):
-            X[i, j] = y[lo + off]
-            X[j, i] = y[lo + off]
+        X[i, j] = y[lo:hi]
+        X[j, i] = y[lo:hi]
         return X
 
 
@@ -386,7 +385,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     def finish(status, zvec, Zm, iters, message=""):
         yfull = full_y(zvec)
         values = {name: problem.extract(name, yfull, comp.spans)
-                  for name in problem._order}
+                  for name in problem._dims}
         cone = {label: Zm[sl, sl].copy()
                 for label, sl in zip(comp.labels, slices) if label}
         res = {"constraint_violation": violation(zvec)}
@@ -554,28 +553,21 @@ class DualFeasibilityResult:
 
 def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float,
                     margin_floor: float, trace_cap: float) -> SdpProblem:
-    n, m = sys.n, sys.m
-    d = n + m
+    n, d = sys.n, sys.n + sys.m
+    E = svec_basis(n)
     pb = SdpProblem()
     pb.add_scalar_var("s")
     pb.add_sym_var("P", n)
-    for i in range(len(iqcs)):
-        pb.add_scalar_var(f"lam{i}")
-    pb.minimize([("s", lambda v: v)])
-
-    terms = [("s", lambda v: v * np.eye(d)),
-             ("P", lambda Pm: -lyapunov_operator(Pm, sys, rho))]
-    for i, M in enumerate(iqcs):
-        terms.append((f"lam{i}", (lambda Mi: (lambda v: -v * Mi))(M)))
-    pb.add_psd(d, None, terms, label="margin")
-    pb.add_psd(n, -np.eye(n), [("P", lambda Pm: Pm)], label="P_minus_I")
-    for i in range(len(iqcs)):
-        pb.add_scalar_ineq(0.0, [(f"lam{i}", lambda v: v)], label=f"lam{i}_nonneg")
-    pb.add_scalar_ineq(-margin_floor, [("s", lambda v: v)], label="floor")
-    cap_terms = [("P", lambda Pm: -float(np.trace(Pm)))]
-    for i in range(len(iqcs)):
-        cap_terms.append((f"lam{i}", lambda v: -v))
-    pb.add_scalar_ineq(trace_cap, cap_terms, label="cap")
+    lams = [pb.add_scalar_var(f"lam{i}") for i in range(len(iqcs))]
+    pb.minimize([("s", [1.0])])
+    pb.add_psd(d, None, [("s", np.eye(d)[None]), ("P", -_lyapunov_stack(E, sys, rho))]
+               + [(lam, -M[None]) for lam, M in zip(lams, iqcs)], label="margin")
+    pb.add_psd(n, -np.eye(n), [("P", E)], label="P_minus_I")
+    for lam in lams:
+        pb.add_scalar_ineq(0.0, [(lam, [1.0])], label=f"{lam}_nonneg")
+    pb.add_scalar_ineq(-margin_floor, [("s", [1.0])], label="floor")
+    pb.add_scalar_ineq(trace_cap, [("P", -np.trace(E, axis1=1, axis2=2))]
+                       + [(lam, [-1.0]) for lam in lams], label="cap")
     return pb
 
 
@@ -643,27 +635,23 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float,
         raise ValueError("rho must be positive")
     config = config or SolverConfig()
     run = solver or solve
-    n, m = sys.n, sys.m
-    d = n + m
+    n, d = sys.n, sys.n + sys.m
+    E = svec_basis(d)
     pb = SdpProblem()
     pb.add_sym_var("Q", d)
     pb.add_scalar_var("t")
-    pb.minimize([("t", lambda v: -v)])
+    pb.minimize([("t", [-1.0])])
     if n:
-        pb.add_psd(n, None,
-                   [("Q", lambda Qm: lyapunov_adjoint(Qm, sys, rho)),
-                    ("t", lambda v: -v * np.eye(n))],
-                   label="adjoint")
-    pb.add_psd(d, None, [("Q", lambda Qm: Qm)], label="Q_psd")
+        pb.add_psd(n, None, [("Q", _lyapunov_stack(E, sys, rho, adjoint=True)),
+                             ("t", -np.eye(n)[None])], label="adjoint")
+    pb.add_psd(d, None, [("Q", E)], label="Q_psd")
     for i, M in enumerate(iqcs):
-        pb.add_scalar_ineq(
-            0.0, [("Q", (lambda Mi: (lambda Qm: float(np.tensordot(Qm, Mi))))(M)),
-                  ("t", lambda v: -v)],
-            label=f"iqc{i}")
+        pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M)), ("t", [-1.0])],
+                           label=f"iqc{i}")
     # Keeps the objective bounded even with n = 0 and no constraints.
     tcap = 10.0 * (sys.scale() + iqcs.scale())
-    pb.add_scalar_ineq(tcap, [("t", lambda v: -v)], label="tcap")
-    pb.add_scalar_eq(-1.0, [("Q", lambda Qm: float(np.trace(Qm)))])
+    pb.add_scalar_ineq(tcap, [("t", [-1.0])], label="tcap")
+    pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
     sol = run(pb, config)
     t = float(sol.values.get("t", np.nan))
     Q = sol.values.get("Q")
@@ -691,20 +679,18 @@ def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float,
     if phase1.t_star < -1e-7 * scale:
         return MarginDualResult(d_star=-np.inf, Q=None, status="infeasible",
                                 infeasibility_margin=phase1.t_star, solution=None)
-    n, m = sys.n, sys.m
-    d = n + m
+    n, d = sys.n, sys.n + sys.m
+    E = svec_basis(d)
+    adj = _lyapunov_stack(E, sys, rho, adjoint=True)
     pb = SdpProblem()
     pb.add_sym_var("Q", d)
-    pb.minimize([("Q", lambda Qm: -float(np.trace(lyapunov_adjoint(Qm, sys, rho))))])
+    pb.minimize([("Q", -np.trace(adj, axis1=1, axis2=2))])
     if n:
-        pb.add_psd(n, None, [("Q", lambda Qm: lyapunov_adjoint(Qm, sys, rho))],
-                   label="adjoint")
-    pb.add_psd(d, None, [("Q", lambda Qm: Qm)], label="Q_psd")
+        pb.add_psd(n, None, [("Q", adj)], label="adjoint")
+    pb.add_psd(d, None, [("Q", E)], label="Q_psd")
     for i, M in enumerate(iqcs):
-        pb.add_scalar_ineq(
-            0.0, [("Q", (lambda Mi: (lambda Qm: float(np.tensordot(Qm, Mi))))(M))],
-            label=f"iqc{i}")
-    pb.add_scalar_eq(-1.0, [("Q", lambda Qm: float(np.trace(Qm)))])
+        pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M))], label=f"iqc{i}")
+    pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
     sol = run(pb, config)
     Q = np.asarray(sol.values["Q"])
     return MarginDualResult(d_star=-sol.objective, Q=Q, status=sol.status,

@@ -29,11 +29,12 @@ from .model import (
     IqcSet,
     SystemData,
     Trajectory,
+    _lyapunov_stack,
     dynamics_residual,
     lyapunov_adjoint,
     symmetrize,
 )
-from .sdp_engine import CERTIFY_CONFIG, SdpProblem, SdpSolution, SolverConfig, solve
+from .sdp_engine import SdpProblem, SdpSolution, SolverConfig, solve, svec_basis
 
 __all__ = [
     "DualWitnessResult",
@@ -173,25 +174,21 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    config = config or CERTIFY_CONFIG
+    config = config or SolverConfig()
     run = solver or solve
-    n, m = sys.n, sys.m
-    dim = n + m
+    n, dim = sys.n, sys.n + sys.m
+    E = svec_basis(dim)
 
     pb = SdpProblem()
     pb.add_sym_var("Q", dim)
     pb.add_scalar_var("t")
-    pb.minimize([("t", lambda v: -v)])
-    pb.add_psd(dim, None,
-               [("Q", lambda Qm: Qm), ("t", lambda v: -v * np.eye(dim))],
-               label="Q_minus_tI")
+    pb.minimize([("t", [-1.0])])
+    pb.add_psd(dim, None, [("Q", E), ("t", -np.eye(dim)[None])], label="Q_minus_tI")
     for i, M in enumerate(iqcs):
-        pb.add_scalar_ineq(
-            0.0, [("Q", (lambda Mi: (lambda Qm: float(np.tensordot(Qm, Mi))))(M)),
-                  ("t", lambda v: -v)],
-            label=f"iqc{i}")
-    pb.add_matrix_eq(n, None, [("Q", lambda Qm: lyapunov_adjoint(Qm, sys, 1.0))])
-    pb.add_scalar_eq(-1.0, [("Q", lambda Qm: float(np.trace(Qm)))])
+        pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M)), ("t", [-1.0])],
+                           label=f"iqc{i}")
+    pb.add_matrix_eq(n, None, [("Q", _lyapunov_stack(E, sys, 1.0, adjoint=True))])
+    pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
 
     sol = run(pb, config)
     if sol.status == "infeasible" or "Q" not in sol.values:
@@ -546,16 +543,15 @@ def _relaxed_direction(modes: WorstCaseModes, config: SolverConfig | None,
     XtX = modes.X.T @ modes.X
     mats = [0.5 * (S.real + S.real.T) for S in _group_sum_matrices(modes)]
     run = solver or solve
+    E = svec_basis(d)
     pb = SdpProblem()
     pb.add_sym_var("V", d)
-    pb.minimize([("V", lambda Vm: float(np.trace(Vm)))])
-    pb.add_psd(d, None, [("V", lambda Vm: Vm)], label="V_psd")
+    pb.minimize([("V", np.trace(E, axis1=1, axis2=2))])
+    pb.add_psd(d, None, [("V", E)], label="V_psd")
     for i, K in enumerate(mats):
-        pb.add_scalar_ineq(
-            0.0, [("V", (lambda Ki: (lambda Vm: float(np.tensordot(Vm, Ki))))(K))],
-            label=f"group{i}")
-    pb.add_scalar_eq(-1.0, [("V", lambda Vm: float(np.tensordot(Vm, XtX)))])
-    sol = run(pb, config or CERTIFY_CONFIG)
+        pb.add_scalar_ineq(0.0, [("V", np.tensordot(E, K))], label=f"group{i}")
+    pb.add_scalar_eq(-1.0, [("V", np.tensordot(E, XtX))])
+    sol = run(pb, config or SolverConfig())
     if sol.status == "infeasible" or "V" not in sol.values:
         return TechnicalConditionResult(
             v=None, method="relaxation",

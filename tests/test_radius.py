@@ -1,5 +1,7 @@
 """Tests for the bisection radius, attainment, and classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from iqcradius.radius import (
     spectral_radius,
 )
 from iqcradius.sdp_engine import (
-    CERTIFY_CONFIG,
     TRACE_CAP,
     SolverConfig,
     dual_feasibility_margin,
@@ -226,7 +227,7 @@ def test_phase1_duals_certify_rates_above_the_radius(case, radius_value):
     strict = 1e-8 * (sys.scale() + iqcs.scale())
     for off in (1e-3, 0.01, 0.1, 0.5):
         rho = radius_value + off
-        probe = dual_feasibility_margin(sys, iqcs, rho, CERTIFY_CONFIG)
+        probe = dual_feasibility_margin(sys, iqcs, rho, SolverConfig())
         assert probe.t_star < 0
         p_min = float(np.linalg.eigvalsh(probe.solution.cone_duals["adjoint"])[0])
         cert = radius._dual_certificate(sys, iqcs, rho, probe)
@@ -316,3 +317,15 @@ def test_radius_certificate_property(n, m, with_iqc, seed):
     assert float(np.linalg.eigvalsh(cert.P)[0]) >= 1.0 - 1e-6
     assert np.all(cert.lambdas >= 0)
     assert float(np.trace(cert.P)) + float(np.sum(cert.lambdas)) <= TRACE_CAP
+
+
+def test_overflowing_growth_witness_warns_nothing():
+    """The rate-5 witness orbit reaches about 1e209 by step 300, so its row
+    norms overflow inside the dynamics residual; that is expected and quiet."""
+    c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    sys = SystemData(A=5.0 * np.array([[c, -s], [s, c]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = classify(sys, witness_horizon=300)
+    assert verdict.classification == "witness-unstable"
+    assert verdict.certificate.rho == pytest.approx(5.0, rel=1e-6)

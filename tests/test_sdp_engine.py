@@ -6,17 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from iqcradius.model import IqcSet, SystemData
+from iqcradius import worstcase
+from iqcradius.model import IqcSet, SystemData, lyapunov_adjoint, lyapunov_operator
 from iqcradius.radius import margin_matrix
 from iqcradius.sdp_engine import (
     MARGIN_FLOOR,
     TRACE_CAP,
     SdpProblem,
+    SdpSolution,
     SolverConfig,
     dual_feasibility_margin,
     solve,
     solve_margin_dual,
     solve_margin_primal,
+    svec_basis,
 )
 
 CONFIG = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
@@ -25,8 +28,8 @@ CONFIG = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
 def test_solve_scalar_nonnegativity():
     pb = SdpProblem()
     pb.add_scalar_var("s")
-    pb.minimize([("s", lambda v: v)])
-    pb.add_scalar_ineq(0.0, [("s", lambda v: v)])
+    pb.minimize([("s", [1.0])])
+    pb.add_scalar_ineq(0.0, [("s", [1.0])])
     sol = solve(pb, CONFIG)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0, abs=1e-8)
@@ -35,8 +38,8 @@ def test_solve_scalar_nonnegativity():
 def test_solve_smallest_dominating_multiple_of_identity():
     pb = SdpProblem()
     pb.add_scalar_var("s")
-    pb.minimize([("s", lambda v: v)])
-    pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", lambda v: v * np.eye(2))])
+    pb.minimize([("s", [1.0])])
+    pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", np.eye(2)[None])])
     sol = solve(pb, CONFIG)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
@@ -47,26 +50,22 @@ def test_matrix_equality_compiles_like_its_scalar_rows():
     A = np.array([[0.3, -1.2, 0.5], [0.7, 0.1, -0.4], [-0.6, 0.9, 0.2]])
     C = np.array([[1.0, 2.0, -3.0], [4.0, 5.0, 6.0], [7.0, -8.0, 9.0]])
 
-    def op(Xm, t):
-        return A @ Xm @ A.T - Xm + t * C.T
+    E = svec_basis(3)
 
     def build(matrix_form):
         pb = SdpProblem()
         pb.add_sym_var("X", 3)
         pb.add_scalar_var("t")
-        pb.minimize([("t", lambda v: v)])
-        pb.add_scalar_eq(-1.0, [("X", lambda Xm: float(np.trace(Xm)))])
-        terms = [("X", lambda Xm: op(Xm, 0.0)), ("t", lambda v: op(np.zeros((3, 3)), v)),
-                 ("X", lambda Xm: 0.5 * Xm)]
+        pb.minimize([("t", [1.0])])
+        pb.add_scalar_eq(-1.0, [("X", np.trace(E, axis1=1, axis2=2))])
+        terms = [("X", A @ E @ A.T - E), ("t", C.T[None]), ("X", 0.5 * E)]
         if matrix_form:
             pb.add_matrix_eq(3, C, terms)
         else:
             for i in range(3):
                 for j in range(i, 3):
-                    pb.add_scalar_eq(C[i, j], [
-                        (name, (lambda f, a, b: (lambda v: float(f(v)[a, b])))(fn, i, j))
-                        for name, fn in terms])
-        pb.add_scalar_eq(0.5, [("t", lambda v: v)])
+                    pb.add_scalar_eq(C[i, j], [(name, a[:, i, j]) for name, a in terms])
+        pb.add_scalar_eq(0.5, [("t", [1.0])])
         return pb.compile()
 
     got, want = build(True), build(False)
@@ -75,6 +74,162 @@ def test_matrix_equality_compiles_like_its_scalar_rows():
     assert got.b_eq.tobytes() == want.b_eq.tobytes()
     with pytest.raises(ValueError, match="shape"):
         SdpProblem().add_matrix_eq(2, np.eye(3), [])
+
+
+def test_terms_of_the_wrong_shape_are_rejected():
+    pb = SdpProblem()
+    pb.add_sym_var("Q", 2)
+    pb.add_scalar_var("t")
+    with pytest.raises(ValueError, match="shape"):
+        pb.add_psd(2, None, [("Q", np.zeros((1, 2, 2)))])       # k is 3 for Q
+    with pytest.raises(ValueError, match="shape"):
+        pb.add_matrix_eq(2, None, [("t", np.zeros((1, 3, 3)))])
+    with pytest.raises(ValueError, match="shape"):
+        pb.add_scalar_ineq(0.0, [("t", 1.0)])                  # a row is (k,)
+    with pytest.raises(ValueError, match="shape"):
+        pb.minimize([("Q", svec_basis(2))])
+    with pytest.raises(ValueError, match="shape"):
+        pb.add_scalar_eq(0.0, [("t", lambda v: v)])             # no callables
+    with pytest.raises(ValueError, match="undeclared"):
+        pb.add_scalar_eq(0.0, [("s", [1.0])])
+
+
+def _unit_matrices(d):
+    """E_ij + E_ji (E_ii on the diagonal), upper triangle row by row."""
+    out = []
+    for i in range(d):
+        for j in range(i, d):
+            E = np.zeros((d, d))
+            E[i, j] = E[j, i] = 1.0
+            out.append(E)
+    return out
+
+
+def _sampled(fn, d=None):
+    """Coefficients of the linear map ``fn``: its value on each basis element
+    of a symmetric d x d variable, or on 1.0 for a scalar (``d`` None)."""
+    return np.array([fn(1.0)] if d is None else [fn(E) for E in _unit_matrices(d)])
+
+
+def _reference_programs(sys, iqcs, rho, modes):
+    """The five programs, each term sampled one basis element at a time."""
+    n, d = sys.n, sys.n + sys.m
+
+    def pairing(M):
+        return lambda Qm: float(np.tensordot(Qm, M))
+
+    def trace(Xm):
+        return float(np.trace(Xm))
+
+    margin = SdpProblem()
+    margin.add_scalar_var("s")
+    margin.add_sym_var("P", n)
+    lams = [margin.add_scalar_var(f"lam{i}") for i in range(len(iqcs))]
+    margin.minimize([("s", _sampled(lambda v: v))])
+    margin.add_psd(d, None, [("s", _sampled(lambda v: v * np.eye(d))),
+                             ("P", _sampled(lambda Pm: -lyapunov_operator(Pm, sys, rho), n))]
+                   + [(lam, _sampled(lambda v: -v * M)) for lam, M in zip(lams, iqcs)],
+                   label="margin")
+    margin.add_psd(n, -np.eye(n), [("P", _sampled(lambda Pm: Pm, n))], label="P_minus_I")
+    for lam in lams:
+        margin.add_scalar_ineq(0.0, [(lam, _sampled(lambda v: v))], label=f"{lam}_nonneg")
+    margin.add_scalar_ineq(-MARGIN_FLOOR, [("s", _sampled(lambda v: v))], label="floor")
+    margin.add_scalar_ineq(TRACE_CAP, [("P", _sampled(lambda Pm: -trace(Pm), n))]
+                           + [(lam, _sampled(lambda v: -v)) for lam in lams], label="cap")
+
+    def dual(objective, t_weight):
+        pb = SdpProblem()
+        pb.add_sym_var("Q", d)
+        if t_weight:
+            pb.add_scalar_var("t")
+        pb.minimize(objective)
+        t_row = [("t", _sampled(lambda v: -v))] if t_weight else []
+        if n:
+            pb.add_psd(n, None,
+                       [("Q", _sampled(lambda Qm: lyapunov_adjoint(Qm, sys, rho), d))]
+                       + [("t", _sampled(lambda v: -v * np.eye(n)))] * t_weight,
+                       label="adjoint")
+        pb.add_psd(d, None, [("Q", _sampled(lambda Qm: Qm, d))], label="Q_psd")
+        for i, M in enumerate(iqcs):
+            pb.add_scalar_ineq(0.0, [("Q", _sampled(pairing(M), d))] + t_row,
+                               label=f"iqc{i}")
+        if t_weight:
+            pb.add_scalar_ineq(10.0 * (sys.scale() + iqcs.scale()), t_row, label="tcap")
+        pb.add_scalar_eq(-1.0, [("Q", _sampled(trace, d))])
+        return pb
+
+    phase1 = dual([("t", _sampled(lambda v: -v))], 1)
+    margin_dual = dual(
+        [("Q", _sampled(lambda Qm: -trace(lyapunov_adjoint(Qm, sys, rho)), d))], 0)
+
+    witness = SdpProblem()
+    witness.add_sym_var("Q", d)
+    witness.add_scalar_var("t")
+    witness.minimize([("t", _sampled(lambda v: -v))])
+    witness.add_psd(d, None, [("Q", _sampled(lambda Qm: Qm, d)),
+                              ("t", _sampled(lambda v: -v * np.eye(d)))],
+                    label="Q_minus_tI")
+    for i, M in enumerate(iqcs):
+        witness.add_scalar_ineq(0.0, [("Q", _sampled(pairing(M), d)),
+                                      ("t", _sampled(lambda v: -v))], label=f"iqc{i}")
+    witness.add_matrix_eq(n, None, [("Q", _sampled(lambda Qm: lyapunov_adjoint(Qm, sys, 1.0), d))])
+    witness.add_scalar_eq(-1.0, [("Q", _sampled(trace, d))])
+
+    k = modes.d
+    relaxed = SdpProblem()
+    relaxed.add_sym_var("V", k)
+    relaxed.minimize([("V", _sampled(trace, k))])
+    relaxed.add_psd(k, None, [("V", _sampled(lambda Vm: Vm, k))], label="V_psd")
+    for i, S in enumerate(worstcase._group_sum_matrices(modes)):
+        K = 0.5 * (S.real + S.real.T)
+        relaxed.add_scalar_ineq(0.0, [("V", _sampled(pairing(K), k))], label=f"group{i}")
+    relaxed.add_scalar_eq(-1.0, [("V", _sampled(pairing(modes.X.T @ modes.X), k))])
+    return [margin, phase1, margin_dual, witness, relaxed]
+
+
+def test_programs_compile_like_per_element_references():
+    """Each program, captured through ``solver=``, compiles byte for byte
+    like the same program sampled one basis element at a time."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        sys = SystemData(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+        mats = [M + M.T for M in rng.normal(size=(int(rng.integers(0, 3)), n + m, n + m))]
+        iqcs = IqcSet.from_matrices(mats, dim=n + m)
+        k = int(rng.integers(1, n + m + 1))
+        W, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        cut = int(rng.integers(1, k + 1))
+        groups = (worstcase.EigenGroup(0.0, W[:, :cut]),
+                  worstcase.EigenGroup(1.0, W[:, cut:]))
+        H = tuple(0.5 * (M + M.T) for M in rng.normal(size=(int(rng.integers(1, 3)), k, k)))
+        modes = worstcase.WorstCaseModes(Q=np.eye(k), d=k, X=rng.normal(size=(n, k)),
+                                         U=rng.normal(size=(m, k)), F=np.eye(k),
+                                         groups=groups, H=H)
+        rho = float(rng.uniform(0.2, 2.0))
+
+        captured = []
+
+        def spy(pb, config):
+            # Zero values: every caller goes on to its next program.
+            captured.append(pb)
+            comp = pb.compile()
+            values = {name: pb.extract(name, np.zeros(comp.p), comp.spans)
+                      for name in comp.spans}
+            return SdpSolution("optimal", 0.0, values, {}, 0)
+
+        solve_margin_primal(sys, iqcs, rho, solver=spy)
+        solve_margin_dual(sys, iqcs, rho, solver=spy)
+        worstcase.extract_dual_witness(sys, iqcs, solver=spy)
+        worstcase._relaxed_direction(modes, None, spy)
+        references = _reference_programs(sys, iqcs, rho, modes)
+        assert len(captured) == len(references) == 5
+
+        for got, want in zip(captured, references):
+            got, want = got.compile(), want.compile()
+            assert (got.blocks, got.labels, got.spans) == (want.blocks, want.labels, want.spans)
+            for field in ("F0", "cols", "c", "A_eq", "b_eq"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 def test_solver_config_rejects_bad_tolerances():
@@ -220,8 +375,8 @@ def test_margin_primal_rejects_bad_rate_and_dims():
 def test_verbose_prints_one_line_per_iteration(capsys):
     pb = SdpProblem()
     pb.add_scalar_var("s")
-    pb.minimize([("s", lambda v: v)])
-    pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", lambda v: v * np.eye(2))])
+    pb.minimize([("s", [1.0])])
+    pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", np.eye(2)[None])])
     quiet = solve(pb, CONFIG)
     assert capsys.readouterr().out == ""
     loud = solve(pb, SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300,
@@ -257,21 +412,21 @@ def _max_eig_problems(draw):
 def _max_eig_program(Cs, cs, W):
     """The program of ``_max_eig_problems`` for given data, and its optimum."""
     k = len(W)
+    E = svec_basis(k)
+    trace = np.trace(E, axis1=1, axis2=2)
     pb = SdpProblem()
     pb.add_scalar_var("s")
     pb.add_scalar_var("t")
     pb.add_sym_var("X", k)
-    pb.minimize([("s", lambda v: v), ("X", lambda Xm: float(np.trace(Xm)))])
+    pb.minimize([("s", [1.0]), ("X", trace)])
     for b, C in enumerate(Cs):
         var = "st"[b % 2]
-        pb.add_psd(len(C), -C, [(var, (lambda d: (lambda v: v * np.eye(d)))(len(C)))],
-                   label=f"block{b}")
-    pb.add_psd(k, -W, [("X", lambda Xm: Xm)], label="X_lower")
+        pb.add_psd(len(C), -C, [(var, np.eye(len(C))[None])], label=f"block{b}")
+    pb.add_psd(k, -W, [("X", E)], label="X_lower")
     for j, c in enumerate(cs):
-        pb.add_scalar_ineq(-c, [("s", lambda v: v)], label=f"scalar{j}")
-    pb.add_scalar_ineq(TRACE_CAP, [("s", lambda v: -v),
-                                   ("X", lambda Xm: -float(np.trace(Xm)))], label="cap")
-    pb.add_scalar_eq(0.0, [("t", lambda v: v), ("s", lambda v: -v)])
+        pb.add_scalar_ineq(-c, [("s", [1.0])], label=f"scalar{j}")
+    pb.add_scalar_ineq(TRACE_CAP, [("s", [-1.0]), ("X", -trace)], label="cap")
+    pb.add_scalar_eq(0.0, [("t", [1.0]), ("s", [-1.0])])
 
     optimum = max([float(np.linalg.eigvalsh(C)[-1]) for C in Cs] + cs)
     return pb, optimum + float(np.trace(W))
