@@ -40,7 +40,6 @@ from .radius import (
 from .sdp_engine import (
     SdpProblem,
     SdpSolution,
-    SolverConfig,
     dual_feasibility_margin,
     solve,
     solve_margin_dual,
@@ -90,7 +89,6 @@ __all__ = [
     "RadiusCertificate",
     "SdpProblem",
     "SdpSolution",
-    "SolverConfig",
     "StabilityVerdict",
     "SystemData",
     "TechnicalConditionResult",

@@ -80,7 +80,9 @@ CHECK_HORIZON = 10_000
 # Agreement required between recorded and recomputed margins.
 REPRODUCE_RTOL = 1e-9
 
-_OPTION_KEYS = ("horizon", "rho_max", "strict_eps", "tol")
+_OPTION_DEFAULTS = {"horizon": DEFAULT_HORIZON, "rho_max": DEFAULT_RHO_MAX,
+                    "strict_eps": DEFAULT_STRICT_EPS, "tol": DEFAULT_TOL}
+_OPTION_KEYS = tuple(_OPTION_DEFAULTS)
 _FILTER_KEYS = ("A_psi", "B_psi1", "B_psi2", "C_psi", "D_psi1", "D_psi2", "M")
 
 
@@ -154,6 +156,15 @@ def _matrix_to_json(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=float)
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
             "data": [float(x) for x in arr.ravel(order="C")]}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_number(value, field: str) -> float:
+    _require(_is_number(value), f"{field}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _vector_from_json(obj, field: str) -> np.ndarray:
@@ -307,22 +318,24 @@ def load_problem(path: str) -> Problem:
                    filters=tuple(filters), options=dict(options))
 
 
-def _resolve(flag_value, options: dict, key: str, env_key: str, default,
-             cast=float):
-    """Flag > problem-file options > environment > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in options:
-        return cast(options[key])
-    raw = os.environ.get(env_key)
-    if raw is not None:
+def _resolve(args, options: dict) -> tuple:
+    """The options in ``_OPTION_KEYS`` order, each from the first of: its
+    flag, the problem file's ``options``, ``IQCRADIUS_<KEY>`` in the
+    environment, the built-in default.  A subcommand without a flag for
+    a key skips the first step."""
+    out = []
+    for key, default in _OPTION_DEFAULTS.items():
+        env_key = f"IQCRADIUS_{key.upper()}"
+        value = getattr(args, key, None)
+        if value is None:
+            value = options.get(key, os.environ.get(env_key, default))
         try:
-            return cast(raw)
-        except ValueError:
+            out.append(type(default)(value))
+        except ValueError:      # only a string from the environment fails
             raise ProblemFormatError(
-                f"environment {env_key}: expected a number, got {raw!r}"
+                f"environment {env_key}: expected a number, got {value!r}"
             ) from None
-    return default
+    return tuple(out)
 
 
 def _need_system(prob: Problem) -> tuple[SystemData, IqcSet]:
@@ -411,11 +424,16 @@ def _witness_from_json(blk: dict, iqcs: IqcSet) -> WitnessReport:
     U = _matrix_from_json(blk["U"], "witness.U")
     F = _matrix_from_json(blk["F"], "witness.F")
     v = _vector_from_json(blk["v"], "witness.v")
+    _require(isinstance(blk["groups"], list), "witness.groups: expected a list")
     groups = []
     for idx, g in enumerate(blk["groups"]):
-        W_re = _matrix_from_json(g["W_re"], f"witness.groups[{idx}].W_re")
-        W_im = _matrix_from_json(g["W_im"], f"witness.groups[{idx}].W_im")
-        groups.append(EigenGroup(theta=float(g["theta"]),
+        field = f"witness.groups[{idx}]"
+        _require(isinstance(g, dict), f"{field}: expected an object")
+        for key in ("theta", "W_re", "W_im"):
+            _require(key in g, f"{field}: missing field '{key}'")
+        W_re = _matrix_from_json(g["W_re"], f"{field}.W_re")
+        W_im = _matrix_from_json(g["W_im"], f"{field}.W_im")
+        groups.append(EigenGroup(theta=_as_number(g["theta"], f"{field}.theta"),
                                  W=W_re + 1j * W_im))
     stacked = np.vstack([X, U])
     H = tuple(stacked.T @ M @ stacked for M in iqcs)
@@ -423,13 +441,14 @@ def _witness_from_json(blk: dict, iqcs: IqcSet) -> WitnessReport:
                            H=H, v=v)
     gain = None if blk["gain"] is None \
         else _matrix_from_json(blk["gain"], "witness.gain")
-    growth = float(blk["growth"])
+    growth = _as_number(blk["growth"], "witness.growth")
+    _require(isinstance(blk["notes"], list), "witness.notes: expected a list")
     return WitnessReport(
         modes=modes, trajectory=build_trajectory(modes, 1, growth), gain=gain,
         iqc_lower_bounds=_vector_from_json(blk["iqc_lower_bounds"],
                                            "witness.iqc_lower_bounds"),
         hard_shift=None if blk["hard_shift"] is None
-        else int(blk["hard_shift"]),
+        else _as_count(blk["hard_shift"], "witness.hard_shift"),
         pointwise=bool(blk["pointwise"]), growth=growth,
         notes=tuple(blk["notes"]))
 
@@ -446,14 +465,7 @@ def _write_out(out_path: str | None, doc: dict) -> None:
 def cmd_radius(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
-    tol = _resolve(args.tol, prob.options, "tol", "IQCRADIUS_TOL",
-                   DEFAULT_TOL)
-    rho_max = _resolve(args.rho_max, prob.options, "rho_max",
-                       "IQCRADIUS_RHO_MAX", DEFAULT_RHO_MAX)
-    strict_eps = _resolve(args.strict_eps, prob.options, "strict_eps",
-                          "IQCRADIUS_STRICT_EPS", DEFAULT_STRICT_EPS)
-    horizon = _resolve(None, prob.options, "horizon", "IQCRADIUS_HORIZON",
-                       DEFAULT_HORIZON, cast=int)
+    horizon, rho_max, strict_eps, tol = _resolve(args, prob.options)
     verdict = classify(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max,
                        strict_eps=strict_eps, witness_horizon=horizon)
     cert = verdict.certificate
@@ -493,13 +505,7 @@ def cmd_radius(args) -> int:
 def cmd_worst_case(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
-    tol = _resolve(None, prob.options, "tol", "IQCRADIUS_TOL", DEFAULT_TOL)
-    rho_max = _resolve(None, prob.options, "rho_max", "IQCRADIUS_RHO_MAX",
-                       DEFAULT_RHO_MAX)
-    strict_eps = _resolve(None, prob.options, "strict_eps",
-                          "IQCRADIUS_STRICT_EPS", DEFAULT_STRICT_EPS)
-    horizon = _resolve(args.horizon, prob.options, "horizon",
-                       "IQCRADIUS_HORIZON", DEFAULT_HORIZON, cast=int)
+    horizon, rho_max, strict_eps, tol = _resolve(args, prob.options)
     cert = spectral_radius(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max,
                            strict_eps=strict_eps)
     if not np.isfinite(cert.rho):
@@ -572,10 +578,18 @@ def _load_report(path: str) -> dict:
 
 
 def _close(recorded, recomputed) -> bool:
+    """Whether a recorded margin reproduces; a recorded non-number never does."""
     if recorded is None or recomputed is None:
         return recorded is None and recomputed is None
+    if not _is_number(recorded):
+        return False
     return abs(float(recorded) - float(recomputed)) \
         <= REPRODUCE_RTOL * (1.0 + abs(float(recomputed)))
+
+
+def _fmt(recorded) -> str:
+    """A recorded value for a message: a number in %e form, else as given."""
+    return f"{recorded:.6e}" if _is_number(recorded) else repr(recorded)
 
 
 def cmd_verify(args) -> int:
@@ -618,7 +632,7 @@ def cmd_verify(args) -> int:
         item("lyapunov-margin-reproduces",
              _close(recorded_margins.get("certificate_eig"), eig)
              and _close(recorded_margins.get("p_min_eig"), pmin),
-             f"recorded eig {recorded_margins.get('certificate_eig'):.6e}, "
+             f"recorded eig {_fmt(recorded_margins.get('certificate_eig'))}, "
              f"recomputed {eig:.6e}")
         scale = sys_data.scale() + iqcs.scale()
         item("lyapunov-certificate",
@@ -742,13 +756,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ProblemFormatError, DimensionMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -40,9 +40,8 @@ import numpy as np
 from .model import (IqcSet, SystemData, Trajectory, lyapunov_adjoint,
                     margin_matrix, simulate)
 from .sdp_engine import (TRACE_CAP, DualFeasibilityResult,
-                         MarginPrimalResult, SolverConfig,
-                         dual_feasibility_margin, margin_point,
-                         solve_margin_primal)
+                         MarginPrimalResult, dual_feasibility_margin,
+                         margin_point, solve_margin_primal)
 
 __all__ = [
     "RadiusCertificate",
@@ -183,12 +182,11 @@ class _Prober:
     solved only when that pair fails its re-check.
     """
 
-    def __init__(self, sys, iqcs, strict, eps_t, config, solver):
+    def __init__(self, sys, iqcs, strict, eps_t, solver):
         self.sys = sys
         self.iqcs = iqcs
         self.strict = strict
         self.eps_t = eps_t
-        self.config = config
         self.solver = solver
         self.count = 0
         self.ambiguous = 0
@@ -213,14 +211,13 @@ class _Prober:
                                              pair.lambdas, pair.solution))
                for pair in self.pairs):
             return "above"
-        probe = dual_feasibility_margin(self.sys, self.iqcs, rho, self.config,
-                                        solver=self.solver)
+        probe = dual_feasibility_margin(self.sys, self.iqcs, rho, solver=self.solver)
         if self._below(rho, probe.Q):
             self.duals.append(probe.Q)
             return "below"
         if not (self._above(rho, _dual_certificate(self.sys, self.iqcs, rho, probe))
                 or self._above(rho, solve_margin_primal(
-                    self.sys, self.iqcs, rho, self.config, solver=self.solver))):
+                    self.sys, self.iqcs, rho, solver=self.solver))):
             self.ambiguous += 1
             return "ambiguous"
         self.pairs.append(self.certs[rho])
@@ -236,7 +233,6 @@ def _eig_radius(A: np.ndarray) -> float:
 def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                     bisect_tol: float = 1e-6, rho_max: float = 1e3,
                     strict_eps: float = 1e-8,
-                    config: SolverConfig | None = None,
                     solver=None) -> RadiusCertificate:
     """Compute the constrained spectral radius with a feasibility certificate.
 
@@ -255,7 +251,7 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     scale = sys.scale() + iqcs.scale()
     strict = strict_eps * scale
     eps_t = 1e-9 * scale
-    prober = _Prober(sys, iqcs, strict, eps_t, config or SolverConfig(), solver)
+    prober = _Prober(sys, iqcs, strict, eps_t, solver)
 
     def build(rho, lo, hi, status="ok", message=""):
         cert_rho = min(prober.certs) if prober.certs else None
@@ -263,7 +259,7 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
         if status == "ok":
             attained, _ = attainment_check(
                 sys, iqcs, max(rho, bisect_tol), strict_eps=strict_eps,
-                config=config, solver=solver)
+                solver=solver)
             if not attained:
                 # The bisected rho is known only to +-bisect_tol and the
                 # margin may be a hair positive just below the true
@@ -273,7 +269,7 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                 # only by unbounded certificates.
                 attained, _ = attainment_check(
                     sys, iqcs, max(rho, bisect_tol) + bisect_tol,
-                    strict_eps=strict_eps, config=config, solver=solver)
+                    strict_eps=strict_eps, solver=solver)
         else:
             attained = False
         return RadiusCertificate(
@@ -309,17 +305,14 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                 hi = cand
                 break
         if hi is None:
-            return _general_bisect(sys, iqcs, prober, bisect_tol, rho_max, strict_eps,
-                                   config, solver, build)
+            return _general_bisect(sys, prober, bisect_tol, rho_max, build)
         lo = max(rho_e - bisect_tol, 0.0)
         return build(rho_e, lo, hi)
 
-    return _general_bisect(sys, iqcs, prober, bisect_tol, rho_max, strict_eps,
-                           config, solver, build)
+    return _general_bisect(sys, prober, bisect_tol, rho_max, build)
 
 
-def _general_bisect(sys, iqcs, prober, bisect_tol, rho_max, strict_eps,
-                    config, solver, build):
+def _general_bisect(sys, prober, bisect_tol, rho_max, build):
     lo = bisect_tol
     kind = prober.classify(lo)
     if kind == "above":
@@ -355,7 +348,6 @@ def _general_bisect(sys, iqcs, prober, bisect_tol, rho_max, strict_eps,
 
 def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
                      strict_eps: float = 1e-8,
-                     config: SolverConfig | None = None,
                      solver=None) -> tuple[bool, MarginPrimalResult]:
     """Whether the rate-rho inequality is feasible at rho itself.
 
@@ -369,7 +361,7 @@ def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
     iqcs.check_matches(sys)
     scale = sys.scale() + iqcs.scale()
     tol = strict_eps * scale
-    result = solve_margin_primal(sys, iqcs, rho, config or SolverConfig(), solver=solver)
+    result = solve_margin_primal(sys, iqcs, rho, solver=solver)
     attained = (np.all(np.isfinite(result.P))
                 and result.margin_check <= 2.0 * tol
                 and float(np.linalg.eigvalsh(result.P)[0]) >= 1.0 - 1e-6)
@@ -403,7 +395,6 @@ def _growth_diagnostic(sys: SystemData, rho: float,
 def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
              bisect_tol: float = 1e-6, rho_max: float = 1e3,
              strict_eps: float = 1e-8,
-             config: SolverConfig | None = None,
              solver=None, witness_horizon: int = 100) -> StabilityVerdict:
     """Stability classification from the radius and attainment.
 
@@ -416,7 +407,7 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol, rho_max=rho_max,
-                           strict_eps=strict_eps, config=config, solver=solver)
+                           strict_eps=strict_eps, solver=solver)
     if not np.isfinite(cert.rho):
         return StabilityVerdict(
             classification="inconclusive", certificate=cert,
@@ -431,7 +422,7 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
         from .worstcase import build_witness
         wit = build_witness(sys, iqcs, rho=cert.rho, horizon=witness_horizon,
                             bisect_tol=bisect_tol, strict_eps=strict_eps,
-                            config=config, solver=solver, radius_cert=cert)
+                            solver=solver, radius_cert=cert)
         if wit.ok:
             return wit.trajectory, reasons
         return None, reasons + [f"no worst-case witness: {wit.reason}"]
@@ -469,7 +460,6 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
 def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
                                  bisect_tol: float = 1e-6, rho_max: float = 1e3,
                                  strict_eps: float = 1e-8,
-                                 config: SolverConfig | None = None,
                                  solver=None) -> ExponentialRateResult:
     """Decay-rate certificate: the radius, realized at the scaled pair (A/rho, B/rho).
 
@@ -479,7 +469,7 @@ def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol, rho_max=rho_max,
-                           strict_eps=strict_eps, config=config, solver=solver)
+                           strict_eps=strict_eps, solver=solver)
     if not np.isfinite(cert.rho):
         return ExponentialRateResult(False, np.inf, None,
                                      "no feasibility certificate up to rho_max")
@@ -491,7 +481,7 @@ def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
     rate = max(cert.rho, bisect_tol)
     scaled = SystemData(A=sys.A / rate, B=None if sys.m == 0 else sys.B / rate)
     attained, result = attainment_check(scaled, iqcs, 1.0, strict_eps=strict_eps,
-                                        config=config, solver=solver)
+                                        solver=solver)
     if not attained:
         return ExponentialRateResult(
             False, cert.rho, None,

@@ -29,8 +29,14 @@ the cone duals are still read block by block.
 
 The engine is deliberately self-contained (dense numpy only) and is
 meant for desk-scale problems, at most a few thousand scalar unknowns.
+Every solve stops at the same fixed tolerances: ``FEAS_TOL`` on the
+primal and dual residuals, ``GAP_TOL`` on the relative gap, at most
+``MAX_ITER`` iterations, each step taking ``STEP_FRACTION`` of the way
+to the cone boundary.  The margin program adds ``MARGIN_FLOOR`` and
+``TRACE_CAP``.
+
 An external solver can be substituted anywhere a ``solver=`` callable is
-accepted; it must map ``(SdpProblem, SolverConfig) -> SdpSolution``.
+accepted (``SolverFn``); it must map ``(SdpProblem) -> SdpSolution``.
 It receives the program as data: ``SdpProblem.compile()`` returns the
 standard form ``F0``, ``cols``, ``c``, ``A_eq``, ``b_eq`` with the block
 sizes and labels, and ``SdpProblem.extract`` maps a solution vector ``y``
@@ -49,7 +55,6 @@ import numpy as np
 from .model import IqcSet, SystemData, _lyapunov_stack, margin_matrix
 
 __all__ = [
-    "SolverConfig",
     "SdpProblem",
     "SdpSolution",
     "solve",
@@ -60,10 +65,21 @@ __all__ = [
     "margin_point",
     "solve_margin_dual",
     "dual_feasibility_margin",
+    "FEAS_TOL",
+    "GAP_TOL",
+    "MAX_ITER",
+    "STEP_FRACTION",
     "MARGIN_FLOOR",
     "TRACE_CAP",
+    "SolverFn",
     "svec_basis",
 ]
+
+# Interior-point stopping rule and step length, the same for every solve.
+FEAS_TOL = 1e-10
+GAP_TOL = 1e-10
+MAX_ITER = 300
+STEP_FRACTION = 0.98
 
 # Lower bound on the margin objective and cap on trace(P) + sum(lambda).
 # The margin program of the certificate search is homogeneous in (P,
@@ -73,29 +89,6 @@ __all__ = [
 # both are reported back when active so callers can tell.
 MARGIN_FLOOR = -1.0
 TRACE_CAP = 1e6
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the interior-point engine.
-
-    The defaults are the ones every certificate search in the package
-    uses: radius probes, attainment checks and witness extraction.
-    """
-
-    feas_tol: float = 1e-10
-    gap_tol: float = 1e-10
-    max_iter: int = 300
-    step_fraction: float = 0.98
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0 < self.step_fraction < 1):
-            raise ValueError("step_fraction must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def svec_basis(d: int) -> np.ndarray:
@@ -331,9 +324,8 @@ def _step_to_boundary(X: np.ndarray, dX: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an :class:`SdpProblem` with the built-in interior-point method."""
-    config = config or SolverConfig()
     comp = problem.compile()
 
     # Eliminate equality constraints by restricting to their affine set.
@@ -399,7 +391,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     if pz == 0:
         # Fully determined by the equality constraints.
         viol = violation(np.zeros(0))
-        status = "optimal" if viol <= 1e3 * config.feas_tol else "infeasible"
+        status = "optimal" if viol <= 1e3 * FEAS_TOL else "infeasible"
         return finish(status, np.zeros(0), np.zeros((D, D)), 0,
                       "" if status == "optimal" else
                       f"fixed point violates PSD constraints by {viol:.2e}")
@@ -419,7 +411,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     message = ""
     it = 0
 
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         # Residuals.
         Rd = G0 + np.tensordot(z, Gb, 1) - S
         rp = cz - Gf @ Z.ravel()
@@ -435,14 +427,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         last_res = {"primal_residual": pres, "dual_residual": dres,
                     "gap": gap_rel, "mu": mu}
         merit = max(pres, dres, gap_rel, mu_rel)
-        if config.verbose:
-            print(f"  it={it:3d} obj={obj_p: .6e} dual={obj_d: .6e} "
-                  f"pres={pres:.2e} dres={dres:.2e} mu={mu:.2e} merit={merit:.2e}")
         if best is None or merit < best[0]:
             best = (merit, z.copy(), Z.copy())
 
-        if pres <= config.feas_tol and dres <= config.feas_tol and (
-                gap_rel <= config.gap_tol or mu_rel <= config.gap_tol):
+        if pres <= FEAS_TOL and dres <= FEAS_TOL and (
+                gap_rel <= GAP_TOL or mu_rel <= GAP_TOL):
             status = "optimal"
             break
 
@@ -468,8 +457,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
             # Predictor.
             dz_a, dS_a, dZ_a = direction(-(Z @ S))
-            a_p = min(1.0, config.step_fraction * _step_to_boundary(S, dS_a))
-            a_d = min(1.0, config.step_fraction * _step_to_boundary(Z, dZ_a))
+            a_p = min(1.0, STEP_FRACTION * _step_to_boundary(S, dS_a))
+            a_d = min(1.0, STEP_FRACTION * _step_to_boundary(Z, dZ_a))
             gap_aff = float(np.vdot(S + a_p * dS_a, Z + a_d * dZ_a))
             sigma = min(1.0, max(1e-10, (gap_aff / gap) ** 3)) if gap > 0 else 0.0
 
@@ -482,8 +471,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             message = "factorization failed (loss of positive definiteness)"
             break
 
-        a_p = min(1.0, config.step_fraction * a_p)
-        a_d = min(1.0, config.step_fraction * a_d)
+        a_p = min(1.0, STEP_FRACTION * a_p)
+        a_d = min(1.0, STEP_FRACTION * a_d)
         if not np.isfinite(a_p) or not np.isfinite(a_d):
             status = "numerical-failure"
             message = "non-finite step length"
@@ -498,7 +487,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         Z = Z + a_d * dZ
 
     else:
-        it = config.max_iter
+        it = MAX_ITER
 
     if status != "optimal" and best is not None:
         _, z, Z = best
@@ -510,7 +499,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 # Domain-level programs.
 # ---------------------------------------------------------------------------
 
-SolverFn = Callable[[SdpProblem, SolverConfig], SdpSolution]
+SolverFn = Callable[[SdpProblem], SdpSolution]
 
 
 @dataclass
@@ -551,8 +540,7 @@ class DualFeasibilityResult:
     solution: SdpSolution
 
 
-def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float,
-                    margin_floor: float, trace_cap: float) -> SdpProblem:
+def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float) -> SdpProblem:
     n, d = sys.n, sys.n + sys.m
     E = svec_basis(n)
     pb = SdpProblem()
@@ -565,16 +553,13 @@ def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float,
     pb.add_psd(n, -np.eye(n), [("P", E)], label="P_minus_I")
     for lam in lams:
         pb.add_scalar_ineq(0.0, [(lam, [1.0])], label=f"{lam}_nonneg")
-    pb.add_scalar_ineq(-margin_floor, [("s", [1.0])], label="floor")
-    pb.add_scalar_ineq(trace_cap, [("P", -np.trace(E, axis1=1, axis2=2))]
+    pb.add_scalar_ineq(-MARGIN_FLOOR, [("s", [1.0])], label="floor")
+    pb.add_scalar_ineq(TRACE_CAP, [("P", -np.trace(E, axis1=1, axis2=2))]
                        + [(lam, [-1.0]) for lam in lams], label="cap")
     return pb
 
 
-def solve_margin_primal(sys: SystemData, iqcs: IqcSet, rho: float,
-                        config: SolverConfig | None = None, *,
-                        margin_floor: float = MARGIN_FLOOR,
-                        trace_cap: float = TRACE_CAP,
+def solve_margin_primal(sys: SystemData, iqcs: IqcSet, rho: float, *,
                         solver: SolverFn | None = None) -> MarginPrimalResult:
     """Minimal margin s with sI >= L_rho(P) + sum l_i M_i, P >= I, l >= 0.
 
@@ -587,42 +572,35 @@ def solve_margin_primal(sys: SystemData, iqcs: IqcSet, rho: float,
     iqcs.check_matches(sys)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    config = config or SolverConfig()
-    run = solver or solve
-    pb = _margin_problem(sys, iqcs, rho, margin_floor, trace_cap)
-    sol = run(pb, config)
+    sol = (solver or solve)(_margin_problem(sys, iqcs, rho))
     P = np.asarray(sol.values.get("P", np.eye(sys.n)))
     lams = np.array([float(sol.values.get(f"lam{i}", 0.0)) for i in range(len(iqcs))])
     return margin_point(sys, iqcs, rho, P, lams, sol,
-                        s_star=float(sol.values.get("s", np.nan)),
-                        margin_floor=margin_floor, trace_cap=trace_cap)
+                        s_star=float(sol.values.get("s", np.nan)))
 
 
 def margin_point(sys: SystemData, iqcs: IqcSet, rho: float, P: np.ndarray,
                  lambdas: np.ndarray, solution: SdpSolution, *,
-                 s_star: float | None = None,
-                 margin_floor: float = MARGIN_FLOOR,
-                 trace_cap: float = TRACE_CAP) -> MarginPrimalResult:
+                 s_star: float | None = None) -> MarginPrimalResult:
     """The point (P, max(lambda, 0)) of the margin program at rate ``rho``.
 
     ``margin_check`` is the largest eigenvalue of the rate-rho inequality
     matrix, recomputed here.  ``s_star`` is the solver's margin when the
     point came from a margin solve; otherwise it is the best margin of the
-    point itself, ``max(margin_check, margin_floor)``.
+    point itself, ``max(margin_check, MARGIN_FLOOR)``.
     """
     lams = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
     H = margin_matrix(sys, iqcs, rho, P, lams)
     margin_check = float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
-    s = max(margin_check, margin_floor) if s_star is None else s_star
-    floor_active = s <= margin_floor + 1e-6 * (1 + abs(margin_floor))
-    cap_active = (float(np.trace(P)) + float(np.sum(lams))) >= trace_cap * (1 - 1e-6)
+    s = max(margin_check, MARGIN_FLOOR) if s_star is None else s_star
+    floor_active = s <= MARGIN_FLOOR + 1e-6 * (1 + abs(MARGIN_FLOOR))
+    cap_active = (float(np.trace(P)) + float(np.sum(lams))) >= TRACE_CAP * (1 - 1e-6)
     return MarginPrimalResult(s_star=s, P=P, lambdas=lams, status=solution.status,
                               floor_active=floor_active, cap_active=cap_active,
                               margin_check=margin_check, solution=solution)
 
 
-def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float,
-                            config: SolverConfig | None = None, *,
+def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float, *,
                             solver: SolverFn | None = None) -> DualFeasibilityResult:
     """Phase-I slack of the dual constraint system at rate ``rho``.
 
@@ -633,8 +611,6 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float,
     iqcs.check_matches(sys)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    config = config or SolverConfig()
-    run = solver or solve
     n, d = sys.n, sys.n + sys.m
     E = svec_basis(d)
     pb = SdpProblem()
@@ -652,7 +628,7 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float,
     tcap = 10.0 * (sys.scale() + iqcs.scale())
     pb.add_scalar_ineq(tcap, [("t", [-1.0])], label="tcap")
     pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
-    sol = run(pb, config)
+    sol = (solver or solve)(pb)
     t = float(sol.values.get("t", np.nan))
     Q = sol.values.get("Q")
     if Q is not None:
@@ -660,8 +636,7 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float,
     return DualFeasibilityResult(t_star=t, Q=Q, status=sol.status, solution=sol)
 
 
-def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float,
-                      config: SolverConfig | None = None, *,
+def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float, *,
                       solver: SolverFn | None = None) -> MarginDualResult:
     """Maximize trace(L_rho*(Q)) over the trace-normalized dual set.
 
@@ -672,9 +647,7 @@ def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float,
     iqcs.check_matches(sys)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    config = config or SolverConfig()
-    run = solver or solve
-    phase1 = dual_feasibility_margin(sys, iqcs, rho, config, solver=solver)
+    phase1 = dual_feasibility_margin(sys, iqcs, rho, solver=solver)
     scale = sys.scale() + iqcs.scale()
     if phase1.t_star < -1e-7 * scale:
         return MarginDualResult(d_star=-np.inf, Q=None, status="infeasible",
@@ -691,7 +664,7 @@ def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float,
     for i, M in enumerate(iqcs):
         pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M))], label=f"iqc{i}")
     pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
-    sol = run(pb, config)
+    sol = (solver or solve)(pb)
     Q = np.asarray(sol.values["Q"])
     return MarginDualResult(d_star=-sol.objective, Q=Q, status=sol.status,
                             infeasibility_margin=phase1.t_star, solution=sol)

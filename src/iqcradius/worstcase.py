@@ -34,7 +34,7 @@ from .model import (
     lyapunov_adjoint,
     symmetrize,
 )
-from .sdp_engine import SdpProblem, SdpSolution, SolverConfig, solve, svec_basis
+from .sdp_engine import SdpProblem, SdpSolution, solve, svec_basis
 
 __all__ = [
     "DualWitnessResult",
@@ -64,6 +64,15 @@ _PSD_TOL = 1e-8
 _TRACE_TOL = 1e-8
 _ADJOINT_TOL = 1e-6
 _PAIRING_TOL = 1e-6
+
+# Relative eigenvalue cut of the rank factorization.
+RANK_TOL = 1e-7
+# Angles of the orthogonal factor closer than this form one eigen-group.
+ANGLE_TOL = 1e-6
+# Horizons scanned for the hard-constraint shift.
+SHIFT_WINDOW = 10_000
+# Steps over which a rank-one witness is re-checked pointwise.
+POINTWISE_HORIZON = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +169,7 @@ class WitnessOutcome:
 # stage 1: stationary dual matrix
 
 
-def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None,
-                         config: SolverConfig | None = None, *,
+def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                          solver=None) -> DualWitnessResult:
     """Most interior trace-one stationary dual matrix at rate one.
 
@@ -174,8 +182,6 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    config = config or SolverConfig()
-    run = solver or solve
     n, dim = sys.n, sys.n + sys.m
     E = svec_basis(dim)
 
@@ -190,7 +196,7 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None,
     pb.add_matrix_eq(n, None, [("Q", _lyapunov_stack(E, sys, 1.0, adjoint=True))])
     pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
 
-    sol = run(pb, config)
+    sol = (solver or solve)(pb)
     if sol.status == "infeasible" or "Q" not in sol.values:
         return DualWitnessResult(
             ok=False, Q=None, t_star=-np.inf, status=sol.status,
@@ -235,11 +241,11 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None,
 # stage 2: rank factorization
 
 
-def rank_factor(Q: np.ndarray, n: int, rank_tol: float = 1e-7):
+def rank_factor(Q: np.ndarray, n: int):
     """Factor Q = [X; U][X; U]' by thresholded eigendecomposition.
 
     Returns (X, U, d) with d the number of eigenvalues above
-    ``rank_tol`` times the largest one; ``n`` splits the stacked factor
+    ``RANK_TOL`` times the largest one; ``n`` splits the stacked factor
     into state rows X and input rows U.  Raises ``ValueError`` when Q
     is numerically zero or indefinite beyond the tolerance.
     """
@@ -249,13 +255,13 @@ def rank_factor(Q: np.ndarray, n: int, rank_tol: float = 1e-7):
                          f"{Q.shape[0]}x{Q.shape[0]} matrix")
     w, V = np.linalg.eigh(Q)
     lam_max = float(w[-1]) if w.size else 0.0
-    if lam_max <= rank_tol:
+    if lam_max <= RANK_TOL:
         raise ValueError("dual witness matrix is numerically zero")
-    if float(w[0]) < -rank_tol * max(1.0, lam_max):
+    if float(w[0]) < -RANK_TOL * max(1.0, lam_max):
         raise ValueError(
             f"matrix is not positive semidefinite within the rank "
             f"tolerance (lambda_min = {float(w[0]):.3e})")
-    keep = np.flatnonzero(w > rank_tol * lam_max)[::-1]  # descending
+    keep = np.flatnonzero(w > RANK_TOL * lam_max)[::-1]  # descending
     Z = V[:, keep] * np.sqrt(w[keep])
     # Deterministic column signs: largest-magnitude entry positive.
     for k in range(Z.shape[1]):
@@ -349,11 +355,11 @@ def _normalize_phase(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def eigen_group(F: np.ndarray, angle_tol: float = 1e-6) -> list[EigenGroup]:
+def eigen_group(F: np.ndarray) -> list[EigenGroup]:
     """Cluster the unitary eigendecomposition of an orthogonal F by angle.
 
     Groups are ordered by increasing angle in [0, 2*pi); angles within
-    ``angle_tol`` of each other are merged (including across the wrap
+    ``ANGLE_TOL`` of each other are merged (including across the wrap
     at 2*pi).  Conjugate groups share exactly conjugated bases, and
     eigenspaces at angles 0 and pi get real bases.  A between-group gap
     within ten times the tolerance triggers a warning but keeps the
@@ -374,12 +380,12 @@ def eigen_group(F: np.ndarray, angle_tol: float = 1e-6) -> list[EigenGroup]:
 
     clusters: list[list[int]] = [[0]]
     for k in range(1, d):
-        if ang[k] - ang[clusters[-1][-1]] <= angle_tol:
+        if ang[k] - ang[clusters[-1][-1]] <= ANGLE_TOL:
             clusters[-1].append(k)
         else:
             clusters.append([k])
     shift = np.zeros(d)
-    if len(clusters) > 1 and (_TWO_PI - ang[clusters[-1][0]]) + ang[0] <= angle_tol:
+    if len(clusters) > 1 and (_TWO_PI - ang[clusters[-1][0]]) + ang[0] <= ANGLE_TOL:
         tail = clusters.pop()
         shift[tail] = -_TWO_PI
         clusters[0] = tail + clusters[0]
@@ -389,21 +395,21 @@ def eigen_group(F: np.ndarray, angle_tol: float = 1e-6) -> list[EigenGroup]:
                          for c in clusters)
         gaps = [b - a for a, b in zip(centers, centers[1:])]
         gaps.append(_TWO_PI - centers[-1] + centers[0])
-        tight = [g for g in gaps if angle_tol < g <= 10 * angle_tol]
+        tight = [g for g in gaps if ANGLE_TOL < g <= 10 * ANGLE_TOL]
         if tight:
             warnings.warn(
                 "eigenvalue clustering gap "
                 f"{min(tight):.2e} is close to the tolerance "
-                f"{angle_tol:.2e}; keeping the finer grouping",
+                f"{ANGLE_TOL:.2e}; keeping the finer grouping",
                 RuntimeWarning, stacklevel=2)
 
     raw: list[tuple[float, np.ndarray]] = []
     for c in clusters:
         theta = float(np.mean(ang[c] + shift[c])) % _TWO_PI
-        self_conj = min(theta, _TWO_PI - theta) <= angle_tol or \
-            abs(theta - np.pi) <= angle_tol
+        self_conj = min(theta, _TWO_PI - theta) <= ANGLE_TOL or \
+            abs(theta - np.pi) <= ANGLE_TOL
         if self_conj:
-            theta = 0.0 if min(theta, _TWO_PI - theta) <= angle_tol else float(np.pi)
+            theta = 0.0 if min(theta, _TWO_PI - theta) <= ANGLE_TOL else float(np.pi)
         W = _normalize_phase(_orthonormal_basis(V[:, c], real=self_conj))
         raw.append((theta, W))
     raw.sort(key=lambda item: item[0])
@@ -411,10 +417,10 @@ def eigen_group(F: np.ndarray, angle_tol: float = 1e-6) -> list[EigenGroup]:
     # Enforce exact conjugate pairing: bases above pi mirror their partner.
     groups: list[EigenGroup] = []
     for theta, W in raw:
-        if theta > np.pi + angle_tol:
+        if theta > np.pi + ANGLE_TOL:
             partner = _TWO_PI - theta
             near = [g for g in groups
-                    if abs(g.theta - partner) <= 10 * angle_tol]
+                    if abs(g.theta - partner) <= 10 * ANGLE_TOL]
             if near:
                 best = min(near, key=lambda g: abs(g.theta - partner))
                 W = best.W.conj()
@@ -469,8 +475,7 @@ def verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
     return ""
 
 
-def technical_condition(modes: WorstCaseModes, iqcs: IqcSet | None = None,
-                        config: SolverConfig | None = None, *,
+def technical_condition(modes: WorstCaseModes, *,
                         solver=None) -> TechnicalConditionResult:
     """Find a real direction v with Xv != 0 passing the sign condition.
 
@@ -517,7 +522,7 @@ def technical_condition(modes: WorstCaseModes, iqcs: IqcSet | None = None,
             if got:
                 return got
 
-    relax = _relaxed_direction(modes, config, solver)
+    relax = _relaxed_direction(modes, solver)
     if relax.v is not None:
         got = accept(relax.v, "relaxation")
         if got:
@@ -529,8 +534,7 @@ def technical_condition(modes: WorstCaseModes, iqcs: IqcSet | None = None,
     return TechnicalConditionResult(v=None, method="", reason=detail)
 
 
-def _relaxed_direction(modes: WorstCaseModes, config: SolverConfig | None,
-                       solver) -> TechnicalConditionResult:
+def _relaxed_direction(modes: WorstCaseModes, solver) -> TechnicalConditionResult:
     """Trace-minimizing PSD relaxation of the sign condition.
 
     Minimizes trace(V) over V >= 0 with trace(V X'X) = 1 and
@@ -542,7 +546,6 @@ def _relaxed_direction(modes: WorstCaseModes, config: SolverConfig | None,
     d = modes.d
     XtX = modes.X.T @ modes.X
     mats = [0.5 * (S.real + S.real.T) for S in _group_sum_matrices(modes)]
-    run = solver or solve
     E = svec_basis(d)
     pb = SdpProblem()
     pb.add_sym_var("V", d)
@@ -551,7 +554,7 @@ def _relaxed_direction(modes: WorstCaseModes, config: SolverConfig | None,
     for i, K in enumerate(mats):
         pb.add_scalar_ineq(0.0, [("V", np.tensordot(E, K))], label=f"group{i}")
     pb.add_scalar_eq(-1.0, [("V", np.tensordot(E, XtX))])
-    sol = run(pb, config or SolverConfig())
+    sol = (solver or solve)(pb)
     if sol.status == "infeasible" or "V" not in sol.values:
         return TechnicalConditionResult(
             v=None, method="relaxation",
@@ -620,7 +623,7 @@ def build_trajectory(modes: WorstCaseModes, horizon: int,
     return mode_orbit(modes, horizon, growth)[1]
 
 
-def iqc_sum_lower_bound(modes: WorstCaseModes, iqcs: IqcSet | None = None) -> np.ndarray:
+def iqc_sum_lower_bound(modes: WorstCaseModes) -> np.ndarray:
     """Uniform lower bound on every constraint partial sum of the orbit.
 
     Cross-frequency terms are geometric sums, bounded by
@@ -674,40 +677,37 @@ def feedback_gain(modes: WorstCaseModes) -> np.ndarray | None:
     return K
 
 
-def hard_iqc_shift(modes: WorstCaseModes, iqcs: IqcSet | None = None,
-                   n_max: int = 10000) -> int | None:
+def hard_iqc_shift(modes: WorstCaseModes) -> int | None:
     """Start offset making the single constraint's partial sums nonnegative.
 
-    Scans the partial sums over horizons 1..n_max and returns the first
+    Scans the partial sums over horizons 1..SHIFT_WINDOW and returns the first
     argmin, provided it lies outside the trailing tenth of the window
     (a minimum at the edge cannot be certified: the sums may keep
     decreasing).  Requires exactly one constraint matrix.
     """
     if len(modes.H) != 1:
         raise ValueError("the shift argument applies to exactly one constraint")
-    Z, _ = mode_orbit(modes, n_max - 1)
+    Z, _ = mode_orbit(modes, SHIFT_WINDOW - 1)
     per_step = np.einsum("ki,ij,kj->k", Z, modes.H[0], Z)
     sums = np.cumsum(per_step)
     n_star = int(np.argmin(sums)) + 1
-    tail = max(1, n_max // 10)
-    if n_star > n_max - tail:
+    if n_star > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
         return None
     return n_star
 
 
-def pointwise_check(modes: WorstCaseModes, iqcs: IqcSet | None = None,
-                    horizon: int = 1000) -> bool:
+def pointwise_check(modes: WorstCaseModes) -> bool:
     """Whether every constraint holds at each step, not just in sums.
 
     True exactly for rank-one witnesses (the factor columns are vectors,
     so the trace inequality is already the pointwise one); re-verified
-    numerically along the orbit.
+    numerically along the first ``POINTWISE_HORIZON`` steps of the orbit.
     """
     if modes.d != 1:
         return False
     if modes.v is None or not modes.H:
         return modes.v is not None
-    Z, _ = mode_orbit(modes, horizon - 1)
+    Z, _ = mode_orbit(modes, POINTWISE_HORIZON - 1)
     for Hi in modes.H:
         per_step = np.einsum("ki,ij,kj->k", Z, Hi, Z)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(per_step), initial=0.0)))
@@ -723,19 +723,16 @@ def pointwise_check(modes: WorstCaseModes, iqcs: IqcSet | None = None,
 def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                   rho: float = 1.0, horizon: int = 300,
                   bisect_tol: float = 1e-6, strict_eps: float = 1e-8,
-                  config: SolverConfig | None = None, solver=None,
-                  radius_cert=None, rank_tol: float = 1e-7,
-                  angle_tol: float = 1e-6,
-                  shift_window: int = 10000) -> WitnessOutcome:
+                  solver=None, radius_cert=None) -> WitnessOutcome:
     """Run the witness pipeline and return the orbit or the failing stage.
 
     ``rho`` is the radius the caller established (1 for the stability
     boundary).  Above one the system is rescaled by 1/rho and the orbit
     re-inflated geometrically, which preserves the dynamics exactly but
     is only offered without constraint matrices (their partial sums do
-    not survive the growth weighting).  ``radius_cert`` skips the
-    radius precheck when the caller already bisected; otherwise the
-    radius is recomputed and must match ``rho`` with attainment.
+    not survive the growth weighting).  ``radius_cert`` is the radius
+    certificate when the caller already bisected; without one the radius
+    is recomputed.  Either way it must match ``rho`` with attainment.
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
@@ -763,42 +760,32 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                     "partial sums do not transfer across the geometric "
                     "growth weighting")
 
-    if radius_cert is not None:
-        if not np.isfinite(radius_cert.rho) or \
-                abs(radius_cert.rho - rho) > max(10.0 * bisect_tol * max(1.0, rho), 1e-9):
-            return fail("radius-precheck",
-                        f"certificate radius {radius_cert.rho:.6g} does not "
-                        f"match the requested {rho:.6g}")
-        if not radius_cert.attained:
-            return fail("radius-precheck",
-                        "margin optimum is not attained at the radius; the "
-                        "factorization argument needs attainment")
-    else:
+    if radius_cert is None:
         from .radius import spectral_radius
-        cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol,
-                               rho_max=max(1e3, 2.0 * rho),
-                               strict_eps=strict_eps, config=config,
-                               solver=solver)
-        if not np.isfinite(cert.rho) or \
-                abs(cert.rho - rho) > max(10.0 * bisect_tol * max(1.0, rho), 1e-9):
-            got = f"{cert.rho:.6g}" if np.isfinite(cert.rho) else "no certificate"
-            return fail("radius-precheck",
-                        f"computed radius ({got}) does not match the "
-                        f"requested {rho:.6g}")
-        if not cert.attained:
-            return fail("radius-precheck",
-                        "margin optimum is not attained at the radius; the "
-                        "factorization argument needs attainment")
+        radius_cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol,
+                                      rho_max=max(1e3, 2.0 * rho),
+                                      strict_eps=strict_eps, solver=solver)
+    found = radius_cert.rho
+    if not np.isfinite(found) or \
+            abs(found - rho) > max(10.0 * bisect_tol * max(1.0, rho), 1e-9):
+        got = f"{found:.6g}" if np.isfinite(found) else "no certificate"
+        return fail("radius-precheck",
+                    f"computed radius ({got}) does not match the "
+                    f"requested {rho:.6g}")
+    if not radius_cert.attained:
+        return fail("radius-precheck",
+                    "margin optimum is not attained at the radius; the "
+                    "factorization argument needs attainment")
 
     growth = 1.0 if at_boundary else float(rho)
     wsys = sys if at_boundary else SystemData(A=sys.A / growth, B=sys.B / growth)
 
-    dual = extract_dual_witness(wsys, iqcs, config, solver=solver)
+    dual = extract_dual_witness(wsys, iqcs, solver=solver)
     if not dual.ok:
         return fail("dual-extraction", dual.reason)
 
     try:
-        X, U, d = rank_factor(dual.Q, sys.n, rank_tol)
+        X, U, d = rank_factor(dual.Q, sys.n)
     except ValueError as err:
         return fail("rank-factorization", str(err))
 
@@ -815,13 +802,13 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     H = tuple(symmetrize(Z.T @ M @ Z, name="H") for M in iqcs)
 
     try:
-        groups = tuple(eigen_group(F, angle_tol))
+        groups = tuple(eigen_group(F))
     except ValueError as err:
         return fail("eigen-grouping", str(err))
 
     modes = WorstCaseModes(Q=dual.Q, d=d, X=X, U=U, F=F, groups=groups, H=H)
 
-    cond = technical_condition(modes, iqcs, config, solver=solver)
+    cond = technical_condition(modes, solver=solver)
     if cond.v is None:
         return fail("technical-condition",
                     f"sign condition not certified ({cond.reason})", modes)
@@ -840,14 +827,14 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     gain = feedback_gain(modes)
     if gain is None:
         notes.append("no static gain: the state factor is column rank deficient")
-    bounds = iqc_sum_lower_bound(modes, iqcs)
+    bounds = iqc_sum_lower_bound(modes)
     shift = None
     if len(iqcs) == 1:
-        shift = hard_iqc_shift(modes, iqcs, n_max=shift_window)
+        shift = hard_iqc_shift(modes)
         if shift is None:
             notes.append("no certified shift: the constraint partial sums "
                          "keep decreasing through the scan window")
-    pointwise = pointwise_check(modes, iqcs)
+    pointwise = pointwise_check(modes)
 
     report = WitnessReport(modes=modes, trajectory=traj, gain=gain,
                            iqc_lower_bounds=bounds, hard_shift=shift,

@@ -25,7 +25,7 @@ from iqcradius.model import (
     Trajectory,
 )
 from iqcradius.radius import spectral_radius
-from iqcradius.sdp_engine import SolverConfig, solve_margin_dual, solve_margin_primal
+from iqcradius.sdp_engine import solve_margin_dual, solve_margin_primal
 from iqcradius.verify import check_witness, lyapunov_trace, strengthen_certificate
 from iqcradius.worstcase import build_witness, recover_orthogonal_factor
 
@@ -89,7 +89,6 @@ def test_criterion_03_signed_scalar_pair():
 
 def test_criterion_04_strong_duality():
     rng = np.random.default_rng(42)
-    config = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
     accepted = 0
     tried = 0
     worst = 0.0
@@ -107,10 +106,10 @@ def test_criterion_04_strong_duality():
             mats.append(0.25 * (M + M.T) / (n + m))
         sys = SystemData(A=A, B=B)
         iqcs = IqcSet.from_matrices(mats, dim=n + m)
-        p = solve_margin_primal(sys, iqcs, 1.0, config)
+        p = solve_margin_primal(sys, iqcs, 1.0)
         if p.status != "optimal" or p.floor_active or p.cap_active:
             continue
-        d = solve_margin_dual(sys, iqcs, 1.0, config)
+        d = solve_margin_dual(sys, iqcs, 1.0)
         if d.status != "optimal" or d.Q is None:
             continue
         accepted += 1

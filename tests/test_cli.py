@@ -203,6 +203,41 @@ def test_verify_corrupted_direction(tmp_path):
     assert "null space" in out
 
 
+def _null_certificate_eig(doc):
+    doc["margins"]["certificate"]["certificate_eig"] = None
+
+
+def _group_without_real_part(doc):
+    del doc["witness"]["groups"][0]["W_re"]
+
+
+def _word_growth(doc):
+    doc["witness"]["growth"] = "fast"
+
+
+def _number_as_group(doc):
+    doc["witness"]["groups"] = [1]
+
+
+@pytest.mark.parametrize("corrupt, code, expected", [
+    (_null_certificate_eig, 4, "FAIL lyapunov-margin-reproduces"),
+    (_group_without_real_part, 1, "error: witness.groups[0]: missing field 'W_re'"),
+    (_word_growth, 1, "error: witness.growth: expected a number"),
+    (_number_as_group, 1, "error: witness.groups[0]: expected an object"),
+])
+def test_verify_malformed_report(tmp_path, corrupt, code, expected):
+    problem = write(tmp_path, "p.json", ROTATION)
+    report_path = tmp_path / "report.json"
+    assert run("worst-case", problem, "--out", str(report_path))[0] == 0
+    doc = json.loads(report_path.read_text())
+    corrupt(doc)
+    report_path.write_text(json.dumps(doc))
+    got, out = run("verify", str(report_path), problem)
+    assert got == code
+    assert expected in out
+    assert "Traceback" not in out
+
+
 def test_verify_dimension_mismatch(tmp_path):
     jordan = write(tmp_path, "jordan.json", JORDAN)
     other = write(tmp_path, "other.json", SIGNED_PAIR)

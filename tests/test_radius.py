@@ -18,12 +18,9 @@ from iqcradius.radius import (
 )
 from iqcradius.sdp_engine import (
     TRACE_CAP,
-    SolverConfig,
     dual_feasibility_margin,
     solve_margin_primal,
 )
-
-PROBE = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
 
 
 def sector_constraint(m_f: float, L: float) -> list:
@@ -73,7 +70,7 @@ def test_monotone_feasibility_above_the_radius():
     sys, iqcs = gradient_instance(2.0 / 11.0)
     cert = spectral_radius(sys, iqcs)
     for off in (0.01, 0.05, 0.1, 0.5, 1.0):
-        res = solve_margin_primal(sys, iqcs, cert.rho + off, PROBE)
+        res = solve_margin_primal(sys, iqcs, cert.rho + off)
         assert res.margin_check < 0
 
 
@@ -197,9 +194,9 @@ def test_solver_hook_runs_every_solve(monkeypatch):
     default_calls, spy_calls = [], []
 
     def counting(calls):
-        def run(problem, config):
+        def run(problem):
             calls.append(problem)
-            return engine_solve(problem, config)
+            return engine_solve(problem)
         return run
 
     monkeypatch.setattr(sdp_engine, "solve", counting(default_calls))
@@ -227,7 +224,7 @@ def test_phase1_duals_certify_rates_above_the_radius(case, radius_value):
     strict = 1e-8 * (sys.scale() + iqcs.scale())
     for off in (1e-3, 0.01, 0.1, 0.5):
         rho = radius_value + off
-        probe = dual_feasibility_margin(sys, iqcs, rho, SolverConfig())
+        probe = dual_feasibility_margin(sys, iqcs, rho)
         assert probe.t_star < 0
         p_min = float(np.linalg.eigvalsh(probe.solution.cone_duals["adjoint"])[0])
         cert = radius._dual_certificate(sys, iqcs, rho, probe)
@@ -248,9 +245,9 @@ def test_margin_program_solved_only_for_attainment_and_fallbacks(monkeypatch):
     real_attainment = radius.attainment_check
     real_dual_certificate = radius._dual_certificate
 
-    def spy(problem, config):
+    def spy(problem):
         solves.append(problem)
-        return engine_solve(problem, config)
+        return engine_solve(problem)
 
     def margin(sys_, iqcs_, rho, *args, **kwargs):
         margin_calls.append((rho, bool(in_attainment)))

@@ -14,7 +14,6 @@ from iqcradius.sdp_engine import (
     TRACE_CAP,
     SdpProblem,
     SdpSolution,
-    SolverConfig,
     dual_feasibility_margin,
     solve,
     solve_margin_dual,
@@ -22,15 +21,13 @@ from iqcradius.sdp_engine import (
     svec_basis,
 )
 
-CONFIG = SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300)
-
 
 def test_solve_scalar_nonnegativity():
     pb = SdpProblem()
     pb.add_scalar_var("s")
     pb.minimize([("s", [1.0])])
     pb.add_scalar_ineq(0.0, [("s", [1.0])])
-    sol = solve(pb, CONFIG)
+    sol = solve(pb)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0, abs=1e-8)
 
@@ -40,7 +37,7 @@ def test_solve_smallest_dominating_multiple_of_identity():
     pb.add_scalar_var("s")
     pb.minimize([("s", [1.0])])
     pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", np.eye(2)[None])])
-    sol = solve(pb, CONFIG)
+    sol = solve(pb)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
 
@@ -209,7 +206,7 @@ def test_programs_compile_like_per_element_references():
 
         captured = []
 
-        def spy(pb, config):
+        def spy(pb):
             # Zero values: every caller goes on to its next program.
             captured.append(pb)
             comp = pb.compile()
@@ -220,7 +217,7 @@ def test_programs_compile_like_per_element_references():
         solve_margin_primal(sys, iqcs, rho, solver=spy)
         solve_margin_dual(sys, iqcs, rho, solver=spy)
         worstcase.extract_dual_witness(sys, iqcs, solver=spy)
-        worstcase._relaxed_direction(modes, None, spy)
+        worstcase._relaxed_direction(modes, spy)
         references = _reference_programs(sys, iqcs, rho, modes)
         assert len(captured) == len(references) == 5
 
@@ -232,18 +229,9 @@ def test_programs_compile_like_per_element_references():
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
-def test_solver_config_rejects_bad_tolerances():
-    with pytest.raises(ValueError):
-        SolverConfig(feas_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_fraction=1.0)
-
-
 def test_margin_primal_strictly_feasible_runs_to_floor():
     sys = SystemData(A=[[0.5]])
-    res = solve_margin_primal(sys, IqcSet.empty(1), 1.0, CONFIG)
+    res = solve_margin_primal(sys, IqcSet.empty(1), 1.0)
     assert res.status == "optimal"
     assert res.s_star < 0
     assert res.floor_active
@@ -253,7 +241,7 @@ def test_margin_primal_strictly_feasible_runs_to_floor():
 
 def test_margin_primal_marginal_scalar_is_zero():
     sys = SystemData(A=[[1.0]])
-    res = solve_margin_primal(sys, IqcSet.empty(1), 1.0, CONFIG)
+    res = solve_margin_primal(sys, IqcSet.empty(1), 1.0)
     assert res.status == "optimal"
     assert res.s_star == pytest.approx(0.0, abs=1e-8)
     assert not res.floor_active
@@ -267,10 +255,10 @@ def test_margin_primal_defective_boundary_gap():
     # hair positive.  One step above the boundary the program is
     # strictly feasible and runs to the floor.
     sys = SystemData(A=[[1.0, 1.0], [0.0, 1.0]])
-    at_one = solve_margin_primal(sys, IqcSet.empty(2), 1.0, CONFIG)
+    at_one = solve_margin_primal(sys, IqcSet.empty(2), 1.0)
     assert at_one.s_star > 1e-7
     assert at_one.cap_active
-    above = solve_margin_primal(sys, IqcSet.empty(2), 1.1, CONFIG)
+    above = solve_margin_primal(sys, IqcSet.empty(2), 1.1)
     assert above.s_star < 0
     assert above.margin_check < 0
 
@@ -281,7 +269,7 @@ def test_margin_primal_opposite_sign_pair_runs_to_floor():
     # and the floor binds; the optimum is not the zero-multiplier point.
     sys = SystemData(A=[[1.0]])
     iqcs = IqcSet.from_matrices([[[1.0]], [[-1.0]]])
-    res = solve_margin_primal(sys, iqcs, 1.0, CONFIG)
+    res = solve_margin_primal(sys, iqcs, 1.0)
     assert res.status == "optimal"
     assert res.floor_active
     assert res.lambdas[1] > res.lambdas[0]
@@ -290,7 +278,7 @@ def test_margin_primal_opposite_sign_pair_runs_to_floor():
 
 def test_margin_dual_plane_rotation():
     sys = SystemData(A=[[0.0, 1.0], [-1.0, 0.0]])
-    res = solve_margin_dual(sys, IqcSet.empty(2), 1.0, CONFIG)
+    res = solve_margin_dual(sys, IqcSet.empty(2), 1.0)
     assert res.status == "optimal"
     assert res.d_star == pytest.approx(0.0, abs=1e-7)
     assert np.allclose(res.Q, 0.5 * np.eye(2), atol=1e-6)
@@ -303,7 +291,7 @@ def test_margin_dual_opposite_sign_pair_infeasible():
     # contradicts the unit-trace normalization: the dual set is empty.
     sys = SystemData(A=[[1.0]])
     iqcs = IqcSet.from_matrices([[[1.0]], [[-1.0]]])
-    res = solve_margin_dual(sys, iqcs, 1.0, CONFIG)
+    res = solve_margin_dual(sys, iqcs, 1.0)
     assert res.status == "infeasible"
     assert res.infeasibility_margin < -0.5
     assert res.d_star == -np.inf
@@ -311,18 +299,18 @@ def test_margin_dual_opposite_sign_pair_infeasible():
 
 def test_margin_dual_above_the_radius_reports_infeasible():
     sys = SystemData(A=[[0.5]])
-    res = solve_margin_dual(sys, IqcSet.empty(1), 1.0, CONFIG)
+    res = solve_margin_dual(sys, IqcSet.empty(1), 1.0)
     assert res.status == "infeasible"
     assert res.d_star < 0
 
 
 def test_dual_feasibility_margin_signs():
     rot = SystemData(A=[[0.0, 1.0], [-1.0, 0.0]])
-    probe = dual_feasibility_margin(rot, IqcSet.empty(2), 1.0, CONFIG)
+    probe = dual_feasibility_margin(rot, IqcSet.empty(2), 1.0)
     assert probe.status == "optimal"
     assert probe.t_star == pytest.approx(0.0, abs=1e-8)
     pm = IqcSet.from_matrices([[[1.0]], [[-1.0]]])
-    probe = dual_feasibility_margin(SystemData(A=[[1.0]]), pm, 1.0, CONFIG)
+    probe = dual_feasibility_margin(SystemData(A=[[1.0]]), pm, 1.0)
     assert probe.t_star == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -346,10 +334,10 @@ def test_strong_duality_on_random_instances():
     while accepted < 5 and tried < 40:
         tried += 1
         sys, iqcs = _random_margin_instance(rng)
-        p = solve_margin_primal(sys, iqcs, 1.0, CONFIG)
+        p = solve_margin_primal(sys, iqcs, 1.0)
         if p.status != "optimal" or p.floor_active or p.cap_active:
             continue
-        d = solve_margin_dual(sys, iqcs, 1.0, CONFIG)
+        d = solve_margin_dual(sys, iqcs, 1.0)
         if d.status != "optimal" or d.Q is None:
             continue
         accepted += 1
@@ -367,24 +355,9 @@ def test_strong_duality_on_random_instances():
 def test_margin_primal_rejects_bad_rate_and_dims():
     sys = SystemData(A=[[0.5]])
     with pytest.raises(ValueError):
-        solve_margin_primal(sys, IqcSet.empty(1), 0.0, CONFIG)
+        solve_margin_primal(sys, IqcSet.empty(1), 0.0)
     with pytest.raises(Exception):
-        solve_margin_primal(sys, IqcSet.empty(3), 1.0, CONFIG)
-
-
-def test_verbose_prints_one_line_per_iteration(capsys):
-    pb = SdpProblem()
-    pb.add_scalar_var("s")
-    pb.minimize([("s", [1.0])])
-    pb.add_psd(2, -np.diag([1.0, 2.0]), [("s", np.eye(2)[None])])
-    quiet = solve(pb, CONFIG)
-    assert capsys.readouterr().out == ""
-    loud = solve(pb, SolverConfig(feas_tol=1e-10, gap_tol=1e-10, max_iter=300,
-                                  verbose=True))
-    lines = capsys.readouterr().out.splitlines()
-    assert loud.iterations == quiet.iterations > 0
-    assert len(lines) == loud.iterations
-    assert all(line.lstrip().startswith("it=") for line in lines)
+        solve_margin_primal(sys, IqcSet.empty(3), 1.0)
 
 
 _ENTRY = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
@@ -435,7 +408,7 @@ def _max_eig_program(Cs, cs, W):
 @given(_max_eig_problems())
 def test_engine_properties_on_random_block_problems(case):
     pb, Cs, cs, W, expected = case
-    sol = solve(pb, CONFIG)
+    sol = solve(pb)
     assert sol.status == "optimal"
     tol = 1e-7 * (1.0 + abs(expected))
 
@@ -458,7 +431,7 @@ def test_engine_properties_on_random_block_problems(case):
         assert float(np.linalg.eigvalsh(Z)[0]) >= -1e-8
 
     assert sol.objective == pytest.approx(expected, abs=tol)
-    assert np.array_equal(solve(pb, CONFIG).y, sol.y)
+    assert np.array_equal(solve(pb).y, sol.y)
 
 
 @pytest.mark.xfail(strict=True, reason="numerical-failure near the optimum; "
@@ -474,6 +447,6 @@ def test_engine_solves_a_found_block_problem():
                    [-2.252690409038564, -2.252690409038564]])
     Cs = [C0] + [np.zeros((3, 3))] * 3
     pb, expected = _max_eig_program(Cs, [0.0], np.zeros((1, 1)))
-    sol = solve(pb, CONFIG)
+    sol = solve(pb)
     assert sol.status == "optimal", sol.message
     assert sol.objective == pytest.approx(expected, abs=1e-7 * (1.0 + abs(expected)))

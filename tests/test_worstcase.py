@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
+from iqcradius.radius import spectral_radius
 from iqcradius.verify import check_witness
 from iqcradius.worstcase import (
     WorstCaseModes,
@@ -150,7 +151,7 @@ def test_rank_factor_rank_one_with_input_row():
 def test_rank_factor_threshold():
     eps = 1e-9
     Q = np.diag([1.0 - eps, eps])
-    X, U, d = rank_factor(Q, 2, rank_tol=1e-7)
+    X, U, d = rank_factor(Q, 2)
     assert d == 1
     assert np.linalg.norm(Q - X @ X.T, 2) <= 10 * 1e-7
 
@@ -221,9 +222,9 @@ def test_eigen_group_near_merge_warns():
 
 
 def test_direction_rank_one(feedback_witness):
-    _, iqcs, outcome = feedback_witness
+    _, _, outcome = feedback_witness
     assert outcome.modes.d == 1
-    result = technical_condition(outcome.modes, iqcs)
+    result = technical_condition(outcome.modes)
     assert result.method == "rank-one"
     np.testing.assert_allclose(result.v, [1.0])
 
@@ -231,7 +232,7 @@ def test_direction_rank_one(feedback_witness):
 def test_direction_distinct_eigenvalues(rotation_witness):
     _, outcome = rotation_witness
     modes = outcome.modes
-    result = technical_condition(modes, IqcSet.empty(2))
+    result = technical_condition(modes)
     assert result.method == "distinct-eigenvalues"
     basis_sum = sum(g.W[:, 0] for g in modes.groups)
     assert np.linalg.norm(basis_sum.imag) <= 1e-10
@@ -242,7 +243,7 @@ def test_direction_unconstrained_fallback():
     X, U, d = rank_factor(0.5 * np.eye(2), 2)
     modes = WorstCaseModes(Q=0.5 * np.eye(2), d=d, X=X, U=U, F=np.eye(2),
                            groups=tuple(eigen_group(np.eye(2))), H=())
-    result = technical_condition(modes, IqcSet.empty(2))
+    result = technical_condition(modes)
     assert result.method == "unconstrained"
     assert np.linalg.norm(X @ result.v) > 1e-8
 
@@ -253,8 +254,7 @@ def test_direction_absent_for_opposite_signs():
                            U=np.zeros((0, 1)), F=F,
                            groups=tuple(eigen_group(F)),
                            H=(np.array([[1.0]]), np.array([[-1.0]])))
-    result = technical_condition(
-        modes, IqcSet.from_matrices([[[1.0]], [[-1.0]]], dim=1))
+    result = technical_condition(modes)
     assert result.v is None
     assert "negative" in result.reason
 
@@ -302,13 +302,13 @@ def test_trajectory_norm_bound(constrained_witnesses):
 
 def test_sum_lower_bound_single_group_is_zero():
     modes = scalar_modes(0.0)
-    bounds = iqc_sum_lower_bound(modes, IqcSet.from_matrices([[[0.0]]], dim=1))
+    bounds = iqc_sum_lower_bound(modes)
     np.testing.assert_allclose(bounds, [0.0])
 
 
 def test_sum_lower_bound_empty(rotation_witness):
     _, outcome = rotation_witness
-    assert iqc_sum_lower_bound(outcome.modes, IqcSet.empty(2)).size == 0
+    assert iqc_sum_lower_bound(outcome.modes).size == 0
 
 
 def test_sum_lower_bound_brute_force(constrained_witnesses):
@@ -350,7 +350,7 @@ def test_hard_shift_minimum_at_start(constrained_witnesses):
 
 def test_hard_shift_decreasing_absent():
     modes = scalar_modes(-1.0)
-    assert hard_iqc_shift(modes, IqcSet.from_matrices([[[-1.0]]], dim=1)) is None
+    assert hard_iqc_shift(modes) is None
 
 
 def test_hard_shift_matches_brute_force():
@@ -361,7 +361,7 @@ def test_hard_shift_matches_brute_force():
                            groups=tuple(eigen_group(F)), H=(M,),
                            v=np.array([1.0, 0.0]))
     iqcs = IqcSet.from_matrices([M])
-    shift = hard_iqc_shift(modes, iqcs)
+    shift = hard_iqc_shift(modes)
     traj = build_trajectory(modes, 10_000)
     (sums,) = iqc_partial_sums(traj, iqcs)
     assert shift == int(np.argmin(sums)) + 1
@@ -369,12 +369,11 @@ def test_hard_shift_matches_brute_force():
 
 
 def test_pointwise_flags(feedback_witness, rotation_witness):
-    _, iqcs, outcome = feedback_witness
-    assert pointwise_check(outcome.modes, iqcs) is True
+    _, _, outcome = feedback_witness
+    assert pointwise_check(outcome.modes) is True
     _, rot_outcome = rotation_witness
-    assert pointwise_check(rot_outcome.modes, IqcSet.empty(2)) is False
-    modes = scalar_modes(0.0)
-    assert pointwise_check(modes, IqcSet.from_matrices([[[0.0]]], dim=1)) is True
+    assert pointwise_check(rot_outcome.modes) is False
+    assert pointwise_check(scalar_modes(0.0)) is True
 
 
 def test_witness_modes_invariants(rotation_witness, constrained_witnesses,
@@ -502,3 +501,15 @@ def test_rejects_contractive_system():
     outcome = build_witness(SystemData(A=[[0.5]]), IqcSet.empty(1), rho=1.0)
     assert not outcome.ok
     assert outcome.stage == "radius-precheck"
+
+
+def test_radius_precheck_is_the_same_with_a_stored_certificate():
+    # A Jordan block: radius 1, not attained.  At rho = 1 attainment
+    # fails; at rho = 1.5 the radius does not match.
+    sys = SystemData(A=[[1.0, 1.0], [0.0, 1.0]])
+    cert = spectral_radius(sys)
+    for rho in (1.0, 1.5):
+        fresh = build_witness(sys, rho=rho)
+        stored = build_witness(sys, rho=rho, radius_cert=cert)
+        assert fresh.stage == stored.stage == "radius-precheck"
+        assert fresh.reason == stored.reason
