@@ -614,7 +614,10 @@ def cmd_verify(args) -> int:
             failures.append(name)
 
     cert_blk = report.get("certificate") or {}
-    recorded_margins = (report.get("margins") or {}).get("certificate")
+    margins_blk = report.get("margins") or {}
+    _require(isinstance(cert_blk, dict), "certificate: expected an object")
+    _require(isinstance(margins_blk, dict), "margins: expected an object")
+    recorded_margins = margins_blk.get("certificate")
     if cert_blk.get("P") is not None:
         P = _matrix_from_json(cert_blk["P"], "report certificate.P")
         lambdas = (np.zeros(len(iqcs)) if cert_blk.get("lambdas") is None
@@ -623,12 +626,15 @@ def cmd_verify(args) -> int:
         _require(lambdas.size == len(iqcs),
                  f"report certificate.lambdas: expected {len(iqcs)} "
                  f"entries, got {lambdas.size}")
-        rho_c = cert_blk.get("rho_cert")
-        rho_c = float(rho_c) if rho_c is not None else float(report["rho"])
+        rho_c = (_as_number(cert_blk["rho_cert"], "certificate.rho_cert")
+                 if cert_blk.get("rho_cert") is not None
+                 else _as_number(report.get("rho"), "rho"))
         margins = _certificate_margins(sys_data, iqcs, rho_c, P, lambdas)
         eig, pmin = margins["certificate_eig"], margins["p_min_eig"]
         _require(recorded_margins is not None,
                  "report: certificate present but no recorded margins")
+        _require(isinstance(recorded_margins, dict),
+                 "margins.certificate: expected an object")
         item("lyapunov-margin-reproduces",
              _close(recorded_margins.get("certificate_eig"), eig)
              and _close(recorded_margins.get("p_min_eig"), pmin),
@@ -646,11 +652,12 @@ def cmd_verify(args) -> int:
     wit_blk = report.get("witness")
     if wit_blk is not None:
         wrep = _witness_from_json(wit_blk, iqcs)
-        recorded = (report.get("margins") or {}).get("witness")
+        recorded = margins_blk.get("witness")
         _require(recorded is not None,
                  "report: witness present but no recorded margins")
-        horizon = int((report.get("margins") or {})
-                      .get("check_horizon", CHECK_HORIZON))
+        _require(isinstance(recorded, dict), "margins.witness: expected an object")
+        horizon = _as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
+                            "margins.check_horizon")
         wc = check_witness(sys_data, wrep, iqcs, horizon=horizon)
         rec_iqc = recorded.get("iqc_margins", [])
         iqc_repro = (len(rec_iqc) == wc.iqc_margins.size

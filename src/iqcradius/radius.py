@@ -24,6 +24,13 @@ certifies "below", or its cone duals, scaled so that P >= I, give the
 (P, lambda) that certifies "above".  The margin program is solved as
 well only when that pair fails its re-check.
 
+Attainment is decided by the same kind of re-check first: the (P,
+lambda) stored at the bracket's upper end is tested at the radius by the
+eigenvalue test of :func:`attainment_check`, and the margin program is
+solved there only when that certificate fails.  If the solved point does
+not attain either, it is re-checked one ``bisect_tol`` above the radius
+before a last solve there.
+
 Ambiguous probes are treated as at-or-below, which biases the reported
 radius upward, the safe direction for stability claims.  For systems
 with no constraints and no input the radius equals the largest
@@ -256,22 +263,26 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     def build(rho, lo, hi, status="ok", message=""):
         cert_rho = min(prober.certs) if prober.certs else None
         cert = prober.certs.get(cert_rho) if cert_rho is not None else None
+        attained = False
         if status == "ok":
-            attained, _ = attainment_check(
-                sys, iqcs, max(rho, bisect_tol), strict_eps=strict_eps,
-                solver=solver)
-            if not attained:
-                # The bisected rho is known only to +-bisect_tol and the
-                # margin may be a hair positive just below the true
-                # radius.  The margin is non-increasing in rho, so one
-                # step above cannot miss an attained optimum, while the
-                # trace cap keeps rejecting optima that are approached
-                # only by unbounded certificates.
-                attained, _ = attainment_check(
-                    sys, iqcs, max(rho, bisect_tol) + bisect_tol,
-                    strict_eps=strict_eps, solver=solver)
-        else:
-            attained = False
+            # The bisected rho is known only to +-bisect_tol and the margin
+            # may be a hair positive just below the true radius.  The margin
+            # is non-increasing in rho, so one step above cannot miss an
+            # attained optimum, while the trace cap keeps rejecting optima
+            # that are approached only by unbounded certificates.  At each
+            # rate the point already in hand is re-checked before solving.
+            point = cert
+            for rate in (max(rho, bisect_tol), max(rho, bisect_tol) + bisect_tol):
+                if point is not None and _attains(margin_point(
+                        sys, iqcs, rate, point.P, point.lambdas, point.solution),
+                        strict):
+                    attained = True
+                    break
+                attained, point = attainment_check(sys, iqcs, rate,
+                                                   strict_eps=strict_eps,
+                                                   solver=solver)
+                if attained:
+                    break
         return RadiusCertificate(
             rho=rho,
             P=cert.P if cert else None,
@@ -362,10 +373,15 @@ def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
     scale = sys.scale() + iqcs.scale()
     tol = strict_eps * scale
     result = solve_margin_primal(sys, iqcs, rho, solver=solver)
-    attained = (np.all(np.isfinite(result.P))
+    return _attains(result, tol), result
+
+
+def _attains(result: MarginPrimalResult, tol: float) -> bool:
+    """The attainment test on a margin point: P is finite with P >= I (to
+    1e-6), and its recomputed margin is at most ``2 * tol``."""
+    return bool(np.all(np.isfinite(result.P))
                 and result.margin_check <= 2.0 * tol
                 and float(np.linalg.eigvalsh(result.P)[0]) >= 1.0 - 1e-6)
-    return attained, result
 
 
 def _growth_diagnostic(sys: SystemData, rho: float,

@@ -20,12 +20,16 @@ module provides
 Compilation packs every PSD constraint and scalar inequality into the
 diagonal blocks of one ``D x D`` matrix, so each iterate S, Z and each
 coefficient F_i is a single block-diagonal matrix and an iteration is a
-few whole-matrix products: the Schur complement is one matrix product
-over the stacked coefficients, and each step length is one Cholesky
-factorization and one eigenvalue computation.  Block-diagonal
-factorizations create no fill outside the blocks, so this computes what
-a loop over the blocks would.  Residuals, the constraint violation and
-the cone duals are still read block by block.
+few whole-matrix products.  Each iteration factors the iterate once: one
+batched Cholesky factorization of the pair (S, Z), whose inverse factors
+give S^-1 for the Schur complement and all four step lengths (predictor
+and corrector, for S and for Z), two batched eigenvalue computations in
+all.  The Schur complement is one matrix product over the stacked
+coefficients; it is inverted once per iteration, and the predictor and
+the corrector each take one step of iterative refinement on it.
+Block-diagonal factorizations create no fill outside the blocks, so this
+computes what a loop over the blocks would.  Residuals, the constraint
+violation and the cone duals are still read block by block.
 
 The engine is deliberately self-contained (dense numpy only) and is
 meant for desk-scale problems, at most a few thousand scalar unknowns.
@@ -307,21 +311,21 @@ def _block_norms(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduceat((M * M).sum(-1), starts, axis=-1))
 
 
-def _step_to_boundary(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX >= 0, for X > 0.
+def _max_steps(Linv: np.ndarray, dX: np.ndarray) -> np.ndarray:
+    """Largest alpha with X + alpha dX >= 0, for each X = L L' of a stack.
 
-    For block-diagonal X and dX the factors stay block diagonal, and the
-    smallest eigenvalue is the minimum over the blocks.
+    ``Linv`` stacks the inverse Cholesky factors of positive definite
+    ``X`` and ``dX`` the symmetric directions, both ``(k, D, D)``.  The
+    step is ``-1 / lambda_min(L^-1 dX L^-T)`` and ``inf`` when that
+    eigenvalue is not negative.  For block-diagonal X and dX the factors
+    stay block diagonal, and the smallest eigenvalue is the minimum over
+    the blocks.
     """
-    if X.size == 0:
-        return np.inf
-    L = np.linalg.cholesky(X)
-    Linv = np.linalg.solve(L, np.eye(X.shape[0]))
-    W = Linv @ dX @ Linv.T
-    lam = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+    if Linv.shape[-1] == 0:
+        return np.full(len(Linv), np.inf)
+    W = Linv @ dX @ Linv.swapaxes(1, 2)
+    lam = np.linalg.eigvalsh(0.5 * (W + W.swapaxes(1, 2)))[:, 0]
+    return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -370,7 +374,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         return y0 + N @ (zvec * scale)
 
     def violation(zvec: np.ndarray) -> float:
-        S = G0 + np.tensordot(zvec, Gb, 1)
+        S = G0 + (zvec @ Gf).reshape(D, D)
         return max([max(0.0, -_min_eig(S[sl, sl])) / (1.0 + g0_norms[b])
                     for b, sl in enumerate(slices)], default=0.0)
 
@@ -413,14 +417,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     for it in range(1, MAX_ITER + 1):
         # Residuals.
-        Rd = G0 + np.tensordot(z, Gb, 1) - S
+        Rd = G0 + (z @ Gf).reshape(D, D) - S
         rp = cz - Gf @ Z.ravel()
         gap = float(np.vdot(S, Z))
         mu = gap / max(1, D)
         obj_p = float(cz @ z)
         obj_d = -float(np.vdot(G0, Z))
         pres = float(_block_norms(Rd, starts).max(initial=0.0)) / (1.0 + f0_norm)
-        dres = float(np.linalg.norm(rp, np.inf)) / (1.0 + float(np.linalg.norm(cz, np.inf)))
+        dres = float(np.abs(rp).max()) / zscale
         gap_rel = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
         mu_rel = mu / (1.0 + abs(obj_p) + abs(obj_d))
 
@@ -436,36 +440,38 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         try:
-            Sinv = np.linalg.solve(S, eye)
-            Sinv = 0.5 * (Sinv + Sinv.T)
+            # One factorization of the iterate: S = Ls Ls', Z = Lz Lz'.  The
+            # inverse factors give S^-1 and all four step lengths.
+            Linv = np.linalg.inv(np.linalg.cholesky(np.array((S, Z))))
+            Sinv = Linv[0].T @ Linv[0]
             # Schur complement M[i,j] = tr(G_i Z G_j Sinv); the order
             # Z G_j Sinv matters, Z does not commute with the G's.
             Msc = Gf @ (Z @ Gb @ Sinv).reshape(pz, -1).T
             Msc = 0.5 * (Msc + Msc.T)
+            try:
+                Minv = np.linalg.inv(Msc)
+            except np.linalg.LinAlgError:
+                Minv = np.linalg.pinv(Msc)
 
             def direction(Rcomp):
                 T = (Rcomp - Z @ Rd) @ Sinv
                 rhs = Gf @ T.ravel() - rp
-                try:
-                    dz = np.linalg.solve(Msc, rhs)
-                    dz += np.linalg.solve(Msc, rhs - Msc @ dz)
-                except np.linalg.LinAlgError:
-                    dz, *_ = np.linalg.lstsq(Msc, rhs, rcond=None)
-                dS = Rd + np.tensordot(dz, Gb, 1)
+                dz = Minv @ rhs
+                dz += Minv @ (rhs - Msc @ dz)    # one step of refinement
+                dS = Rd + (dz @ Gf).reshape(D, D)
                 M = (Rcomp - Z @ dS) @ Sinv
                 return dz, dS, 0.5 * (M + M.T)
 
             # Predictor.
             dz_a, dS_a, dZ_a = direction(-(Z @ S))
-            a_p = min(1.0, STEP_FRACTION * _step_to_boundary(S, dS_a))
-            a_d = min(1.0, STEP_FRACTION * _step_to_boundary(Z, dZ_a))
+            a_p, a_d = np.minimum(1.0, STEP_FRACTION * _max_steps(
+                Linv, np.array((dS_a, dZ_a))))
             gap_aff = float(np.vdot(S + a_p * dS_a, Z + a_d * dZ_a))
             sigma = min(1.0, max(1e-10, (gap_aff / gap) ** 3)) if gap > 0 else 0.0
 
             # Corrector.
             dz, dS, dZ = direction(sigma * mu * eye - Z @ S - dZ_a @ dS_a)
-            a_p = _step_to_boundary(S, dS)
-            a_d = _step_to_boundary(Z, dZ)
+            a_p, a_d = _max_steps(Linv, np.array((dS, dZ)))
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             message = "factorization failed (loss of positive definiteness)"

@@ -219,11 +219,27 @@ def _number_as_group(doc):
     doc["witness"]["groups"] = [1]
 
 
+def _word_check_horizon(doc):
+    doc["margins"]["check_horizon"] = "long"
+
+
+def _null_rates(doc):
+    doc["certificate"]["rho_cert"] = None
+    doc["rho"] = None
+
+
+def _list_as_certificate_margins(doc):
+    doc["margins"]["certificate"] = [1]
+
+
 @pytest.mark.parametrize("corrupt, code, expected", [
     (_null_certificate_eig, 4, "FAIL lyapunov-margin-reproduces"),
     (_group_without_real_part, 1, "error: witness.groups[0]: missing field 'W_re'"),
     (_word_growth, 1, "error: witness.growth: expected a number"),
     (_number_as_group, 1, "error: witness.groups[0]: expected an object"),
+    (_word_check_horizon, 1, "error: margins.check_horizon: expected an integer"),
+    (_null_rates, 1, "error: rho: expected a number"),
+    (_list_as_certificate_margins, 1, "error: margins.certificate: expected an object"),
 ])
 def test_verify_malformed_report(tmp_path, corrupt, code, expected):
     problem = write(tmp_path, "p.json", ROTATION)

@@ -18,7 +18,9 @@ from iqcradius.radius import (
 )
 from iqcradius.sdp_engine import (
     TRACE_CAP,
+    SdpSolution,
     dual_feasibility_margin,
+    margin_point,
     solve_margin_primal,
 )
 
@@ -236,6 +238,14 @@ def test_phase1_duals_certify_rates_above_the_radius(case, radius_value):
         assert radius._certified_above(sys, iqcs, cert, strict)
 
 
+def _stored_certificate_attains(sys, iqcs, rate, cert) -> bool:
+    """Whether the certificate of ``cert`` passes the attainment test at ``rate``."""
+    unsolved = SdpSolution(status="optimal", objective=np.nan, values={},
+                           residuals={}, iterations=0)
+    point = margin_point(sys, iqcs, rate, cert.P, cert.lambdas, unsolved)
+    return radius._attains(point, 1e-8 * (sys.scale() + iqcs.scale()))
+
+
 def test_margin_program_solved_only_for_attainment_and_fallbacks(monkeypatch):
     sys, iqcs = gradient_instance(0.1)
     solves, margin_calls, failed_pairs = [], [], []
@@ -274,7 +284,10 @@ def test_margin_program_solved_only_for_attainment_and_fallbacks(monkeypatch):
     assert cert.rho == pytest.approx(0.9, abs=1e-5)
     assert cert.attained
     assert len(solves) <= 12
-    assert any(attained for _, attained in margin_calls)
+    # The stored certificate already passes the attainment test at rho, so
+    # no margin program is solved for attainment.
+    assert not any(attained for _, attained in margin_calls)
+    assert _stored_certificate_attains(sys, iqcs, cert.rho, cert)
     assert all(attained or rho in failed_pairs for rho, attained in margin_calls)
 
 
@@ -290,6 +303,31 @@ def _random_system(n: int, m: int, with_iqc: bool, seed: int):
     T[1, n] = 1.0
     S = np.array([[-1.0, 1.25], [1.25, -1.0]])
     return SystemData(A=A, B=B), IqcSet.from_matrices([T.T @ S @ T])
+
+
+def _jordan_block():
+    return SystemData(A=[[1.0, 1.0], [0.0, 1.0]]), IqcSet.empty(2)
+
+
+@pytest.mark.parametrize("case, attained", [
+    (_jordan_block(), False),
+    (_random_system(2, 1, True, 1), True),
+])
+def test_attainment_solves_when_the_stored_certificate_fails(case, attained):
+    sys, iqcs = case
+    margin_solves = []
+
+    def counting(problem):
+        margin_solves.append("margin" in problem.compile().labels)
+        return sdp_engine.solve(problem)
+
+    cert = spectral_radius(sys, iqcs, solver=counting)
+    rate = max(cert.rho, 1e-6)
+    assert not _stored_certificate_attains(sys, iqcs, rate, cert)
+    # The attainment check runs after the search, so it made the last solve.
+    assert margin_solves[-1]
+    assert cert.attained is attained
+    assert cert.attained == attainment_check(sys, iqcs, rate)[0]
 
 
 @settings(max_examples=20)

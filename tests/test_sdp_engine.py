@@ -14,6 +14,7 @@ from iqcradius.sdp_engine import (
     TRACE_CAP,
     SdpProblem,
     SdpSolution,
+    _max_steps,
     dual_feasibility_margin,
     solve,
     solve_margin_dual,
@@ -434,14 +435,12 @@ def test_engine_properties_on_random_block_problems(case):
     assert np.array_equal(solve(pb).y, sol.y)
 
 
-@pytest.mark.xfail(strict=True, reason="numerical-failure near the optimum; "
-                   "IPM endgame robustness is ROADMAP item 2")
 def test_engine_solves_a_found_block_problem():
     """An example the random-block property test found, pinned on its own.
 
-    The engine stops after 13 iterations with "factorization failed" at
-    gap 1.75e-9, against the 1e-10 tolerances, though its objective is
-    already within 5e-12 of the optimum.
+    The objective is within 5e-12 of the optimum while the gap is still
+    above the 1e-10 tolerances, so an iteration that loses positive
+    definiteness of an iterate here stops with "factorization failed".
     """
     C0 = np.array([[-2.1021336055933375, -2.252690409038564],
                    [-2.252690409038564, -2.252690409038564]])
@@ -450,3 +449,54 @@ def test_engine_solves_a_found_block_problem():
     sol = solve(pb)
     assert sol.status == "optimal", sol.message
     assert sol.objective == pytest.approx(expected, abs=1e-7 * (1.0 + abs(expected)))
+
+
+_INT = st.integers(-3, 3)
+
+
+@st.composite
+def _step_cases(draw):
+    """A block-diagonal X = R R' + I and a symmetric dX, each scaled.
+
+    Integer entries keep every nonzero eigenvalue of a dX block away from
+    zero, so the checks below stay far above rounding; ``pd`` draws dX
+    as C C' + I, which has no boundary.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    pd = draw(st.booleans())
+    D = sum(sizes)
+    X, dX = np.zeros((D, D)), np.zeros((D, D))
+    at = 0
+    for d in sizes:
+        R = draw(arrays(np.float64, (d, d), elements=_INT))
+        C = draw(arrays(np.float64, (d, d), elements=_INT))
+        sl = slice(at, at + d)
+        X[sl, sl] = R @ R.T + np.eye(d)
+        dX[sl, sl] = C @ C.T + np.eye(d) if pd else C + C.T
+        at += d
+    scale = st.floats(1e-3, 1e3)
+    return draw(scale) * X, draw(scale) * dX, pd
+
+
+def _min_eig_of(M):
+    return float(np.linalg.eigvalsh(M)[0])
+
+
+@given(_step_cases())
+def test_factored_step_length_stops_at_the_boundary(case):
+    X, dX, pd = case
+    Linv = np.linalg.inv(np.linalg.cholesky(X))
+    alpha = float(_max_steps(Linv[None], dX[None])[0])
+    if pd:
+        assert alpha == np.inf
+        return
+    if _min_eig_of(dX) >= -1e-9 * np.abs(dX).max():
+        # A singular PSD dX: rounding may put a zero eigenvalue a hair below
+        # zero, and then the step is finite but far beyond the unit steps
+        # the engine takes.
+        assert alpha == np.inf or \
+            alpha * np.linalg.norm(dX, 2) >= 1e12 * _min_eig_of(X)
+        return
+    assert 0 < alpha < np.inf
+    assert _min_eig_of(X + alpha * (1 - 1e-9) * dX) >= 0.0
+    assert _min_eig_of(X + alpha * (1 + 1e-6) * dX) < 0.0
