@@ -656,8 +656,9 @@ def cmd_verify(args) -> int:
         _require(recorded is not None,
                  "report: witness present but no recorded margins")
         _require(isinstance(recorded, dict), "margins.witness: expected an object")
-        horizon = _as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
-                            "margins.check_horizon")
+        # The report may lengthen the re-check but never shorten it.
+        horizon = max(_as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
+                                "margins.check_horizon"), CHECK_HORIZON)
         wc = check_witness(sys_data, wrep, iqcs, horizon=horizon)
         rec_iqc = recorded.get("iqc_margins", [])
         iqc_repro = (len(rec_iqc) == wc.iqc_margins.size

@@ -1,28 +1,44 @@
-"""Constrained spectral radius by bisection, with certificates.
+"""Constrained spectral radius by a search over certificate reaches.
 
 The radius rho(A, B, M) is the infimum of the rates rho at which the
 inequality  L_rho(P) + sum_i lambda_i M_i <= 0  admits P >= I and
-lambda >= 0.  Feasibility is monotone in rho, so the radius is found by
-bisection.  Each probe classifies a rate as
+lambda >= 0.  Feasibility is monotone in rho.  A rate is
 
-  * at-or-below the radius: certified by a unit-trace PSD Q with
-    L_rho*(Q) >= -eps and trace(Q M_i) >= -eps, which by weak duality
-    rules out a strictly feasible rate-rho inequality, or
-  * above the radius: certified by a primal point (P, lambda) with
-    P >= I, lambda >= 0 and trace(P) + sum(lambda) <= TRACE_CAP whose
-    margin re-checks strictly negative by an eigenvalue routine, or
-  * ambiguous: neither certificate could be produced (this happens in a
-    narrow band around a defective boundary, where certifying P grows
-    like 1/(rho - radius)^2 and the dual slack vanishes cubically).
+  * at-or-below the radius when a unit-trace PSD Q has L_rho*(Q) >= 0
+    and trace(Q M_i) >= 0, which by weak duality rules out a strictly
+    feasible rate-rho inequality, or
+  * above the radius when a point (P, lambda) with P >= I, lambda >= 0
+    and trace(P) + sum(lambda) <= TRACE_CAP has a margin that re-checks
+    at most -strict by an eigenvalue routine.
 
-A probe first re-checks, at its own rate, the certificates of earlier
-probes: each Q found below, then each (P, lambda) found above.  Both
-tests are the ones above, done by eigenvalues; for a fixed certificate
-each is monotone in the rate, and they often settle a rate with no
-solve.  Otherwise the probe solves the phase-I dual program once: its Q
-certifies "below", or its cone duals, scaled so that P >= I, give the
-(P, lambda) that certifies "above".  The margin program is solved as
-well only when that pair fails its re-check.
+Both tests are eigenvalue re-checks, monotone in the rate for a fixed
+certificate, so each certificate has a *reach*, the furthest rate it
+proves, which costs no solve: for Q, sqrt(lambda_min) of the pencil
+(G Q G', Q_xx); for (P, lambda), the least rho with W - rho^2 diag(P, 0)
+<= 0, W = G'PG + sum lambda_i M_i + strict I (Boyd, El Ghaoui, Feron &
+Balakrishnan, *LMIs in System and Control Theory*, 1994, section 2.2.3).
+A reach counts only once the same test passes at it.
+
+Each probe solves the phase-I dual program once and uses both of its
+certificates, the Q and the (P, lambda) in its cone duals; the margin
+program is solved there too only when that pair fails at the probe rate
+and Q does not prove the rate below.  The proven ends are the largest Q
+reach and the smallest pair reach.  A probe neither certificate settles
+is *ambiguous*: around a defective boundary certifying P grows like
+1/(rho - radius)^2, and at a degenerate one the dual slack is zero up to
+rounding over a band of rates.  It moves neither proven end, but no
+later probe goes below it, so the search converges where counting it as
+at-or-below would.  ``rho`` is the midpoint of (highest ambiguous rate
+or proven lower end, proven upper end).
+
+The first probes are ``bisect_tol`` and max(1, |eig|), doubling until
+an upper end is proven.  Then each rate is an Illinois (secant) step on
+the phase-I value t*(rho) between the nearest solved rates on each side
+of its root, kept a thousandth of the placement interval inside it (its
+midpoint when the step falls outside), and a probe that does not halve
+the interval is followed by a bisection step.  A probe next to a reach
+is a Dinkelbach iteration (Management Science 13(7), 1967), so near a
+smooth boundary the ends close in a few solves.
 
 Attainment is decided by the same kind of re-check first: the (P,
 lambda) stored at the bracket's upper end is tested at the radius by the
@@ -31,11 +47,9 @@ solved there only when that certificate fails.  If the solved point does
 not attain either, it is re-checked one ``bisect_tol`` above the radius
 before a last solve there.
 
-Ambiguous probes are treated as at-or-below, which biases the reported
-radius upward, the safe direction for stability claims.  For systems
-with no constraints and no input the radius equals the largest
-eigenvalue magnitude of A and is computed directly from the eigenvalues;
-the bisection machinery only assembles the certificate.
+For systems with no constraints and no input the radius is the largest
+eigenvalue magnitude of A, which also proves the bracket's lower end;
+the search only finds the certificate above it.
 """
 
 from __future__ import annotations
@@ -44,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (IqcSet, SystemData, Trajectory, lyapunov_adjoint,
-                    margin_matrix, simulate)
+from .model import (IqcSet, SystemData, Trajectory, _lyapunov_stack,
+                    lyapunov_adjoint, margin_matrix, simulate)
 from .sdp_engine import (TRACE_CAP, DualFeasibilityResult,
                          MarginPrimalResult, dual_feasibility_margin,
                          margin_point, solve_margin_primal)
@@ -64,6 +78,9 @@ __all__ = [
 _MAX_BISECT = 80
 _LADDER = (1.0, 10.0, 100.0)      # certificate search offsets, in units of bisect_tol
 _LADDER_REL = (1e-3, 1e-2, 0.1, 1.0)  # then relative offsets
+# Relative move of a reach, away from the radius, when rounding fails the
+# re-check at the reach itself.
+_NUDGE = 1e-12
 
 
 @dataclass
@@ -71,12 +88,17 @@ class RadiusCertificate:
     """Result of the radius computation.
 
     ``rho`` is the computed radius (``inf`` when no rate up to rho_max
-    admits a certificate; 0.0 when every probed rate does).  ``P`` and
-    ``lambdas`` certify feasibility at ``rho_cert`` (the bracket's upper
-    end) with the reported ``margin``; ``attained`` records whether the
-    margin is already non-positive at ``rho`` itself.  ``probes`` counts
-    the rates classified by the search, including those settled by a
-    stored certificate without a solve; ``ambiguous`` counts those that
+    admits a certificate; 0.0 when every probed rate does).  ``bracket``
+    is (proven below, proven above).  A dual Q re-checks at-or-below the
+    radius at its lower end (on the eigenvalue path, the eigenvalues
+    prove it), unless that proof stops more than ``bisect_tol`` short of
+    the upper end: then the lower end is the highest ambiguous probe.
+    ``P`` and ``lambdas`` certify feasibility at the upper end,
+    ``rho_cert``, with the reported ``margin``.  ``rho`` lies inside,
+    above every ambiguous probe below the upper end.  Without a
+    certificate the upper end is ``inf``.  ``attained`` records whether
+    the margin is already non-positive at ``rho`` itself.  ``probes``
+    counts the rates probed by a solve; ``ambiguous`` counts those that
     no certificate settled.
     """
 
@@ -113,22 +135,29 @@ class ExponentialRateResult:
     reason: str = ""
 
 
+def _unit_trace_psd(Q: np.ndarray | None) -> np.ndarray | None:
+    """The PSD projection of Q scaled to trace 1; None when there is none."""
+    if Q is None or Q.size == 0 or not np.all(np.isfinite(Q)):
+        return None
+    w, V = np.linalg.eigh(0.5 * (Q + Q.T))
+    w = np.clip(w, 0.0, None)
+    tr = float(np.sum(w))
+    if tr <= 0:
+        return None
+    return (V * (w / tr)) @ V.T
+
+
 def _certified_dual_slack(sys: SystemData, iqcs: IqcSet, rho: float,
                           Q: np.ndarray | None) -> float:
     """Worst slack of the dual system at a PSD-projected, trace-1 Q.
 
     The returned value is achieved by an exactly feasible Q, so
-    ``slack >= -eps`` certifies that no strictly feasible primal point
+    ``slack >= 0`` certifies that no strictly feasible primal point
     exists at this rate, i.e. that rho is at or below the radius.
     """
-    if Q is None or Q.size == 0 or not np.all(np.isfinite(Q)):
+    Qp = _unit_trace_psd(Q)
+    if Qp is None:
         return -np.inf
-    w, V = np.linalg.eigh(0.5 * (Q + Q.T))
-    w = np.clip(w, 0.0, None)
-    tr = float(np.sum(w))
-    if tr <= 0:
-        return -np.inf
-    Qp = (V * (w / tr)) @ V.T
     slacks = []
     if sys.n:
         slacks.append(float(np.linalg.eigvalsh(lyapunov_adjoint(Qp, sys, rho))[0]))
@@ -177,58 +206,162 @@ def _dual_certificate(sys: SystemData, iqcs: IqcSet, rho: float,
     return margin_point(sys, iqcs, rho, P / p_min, lams / p_min, probe.solution)
 
 
-class _Prober:
-    """Classifies rates against the radius, with one phase-I solve or none.
+def _pencil_eigs(S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the pencil (S, L L'), L lower triangular."""
+    X = np.linalg.solve(L, S)
+    return np.linalg.eigvalsh(np.linalg.solve(L, X.T))
 
-    Before solving, a rate is tested against the certificates stored so
-    far: the dual Qs of rates found below, then the (P, lambda) of rates
-    found above.  A stored pair that passes is recorded under the new
-    rate too, so the lowest certified rate keeps its certificate.
-    Otherwise one phase-I solve decides: its dual slack certifies
-    "below", or its cone duals certify "above"; the margin program is
-    solved only when that pair fails its re-check.
+
+def _q_reach(sys: SystemData, iqcs: IqcSet, Q: np.ndarray | None) -> float:
+    """The largest rate at which the trace-1 projection of Q has slack >= 0.
+
+    The slack lambda_min(G Q G' - rho^2 Q_xx) falls as rho grows, so the
+    rate is sqrt(lambda_min) of the pencil (G Q G', Q_xx).  0.0 when some
+    trace(Q M_i) < 0, when Q_xx is singular or when Q proves no rate.
+    """
+    Qp = _unit_trace_psd(Q)
+    if Qp is None or not sys.n or any(float(np.tensordot(Qp, M)) < 0 for M in iqcs):
+        return 0.0
+    try:
+        L = np.linalg.cholesky(Qp[:sys.n, :sys.n])
+    except np.linalg.LinAlgError:
+        return 0.0
+    GQG = _lyapunov_stack(Qp[None], sys, 0.0, adjoint=True)[0]
+    low = float(_pencil_eigs(GQG, L)[0])
+    return float(np.sqrt(low)) if low > 0 else 0.0
+
+
+def _pair_reach(sys: SystemData, iqcs: IqcSet, pair: MarginPrimalResult,
+                strict: float) -> float:
+    """The smallest rate at which (P, lambda) has margin <= -strict.
+
+    That is the least rho with W - rho^2 diag(P, 0) <= 0, where W =
+    G'PG + sum_i lambda_i M_i + strict I.  With an input this needs
+    W_uu < 0; the rate is then sqrt(lambda_max) of the pencil (S, P), S
+    the Schur complement of W_uu.  inf when no rate is reached.
+    """
+    n = sys.n
+    P = 0.5 * (pair.P + pair.P.T)
+    if not n or not np.all(np.isfinite(P)) or not np.all(np.isfinite(pair.lambdas)):
+        return np.inf
+    W = _lyapunov_stack(P[None], sys, 0.0)[0] + strict * np.eye(n + sys.m)
+    for lam, M in zip(pair.lambdas, iqcs):
+        W += lam * M
+    try:
+        S = W[:n, :n]
+        if sys.m:
+            Y = np.linalg.solve(np.linalg.cholesky(-W[n:, n:]), W[n:, :n])
+            S = S + Y.T @ Y
+        top = float(_pencil_eigs(S, np.linalg.cholesky(P))[-1])
+    except np.linalg.LinAlgError:
+        return np.inf
+    if np.isnan(top):
+        return np.inf
+    return float(np.sqrt(max(top, 0.0)))
+
+
+class _Search:
+    """The proven bracket of the radius, grown one phase-I solve at a time.
+
+    ``lo`` is the largest rate a dual Q re-checks at-or-below the radius
+    (0.0 before any does); ``hi`` is the smallest rate a pair (P, lambda)
+    re-checks above it, and ``cert`` is that pair evaluated at ``hi``.
+    Rates of ambiguous probes below ``hi`` are kept in ``unsettled``;
+    they prove nothing, but ``floor`` places no probe below them.
+    ``points`` holds the (rate, t*) of every solve with a finite t*.
     """
 
-    def __init__(self, sys, iqcs, strict, eps_t, solver):
+    def __init__(self, sys, iqcs, strict, solver):
         self.sys = sys
         self.iqcs = iqcs
         self.strict = strict
-        self.eps_t = eps_t
         self.solver = solver
         self.count = 0
         self.ambiguous = 0
-        self.duals: list[np.ndarray] = []            # Q of each solved "below" rate
-        self.pairs: list[MarginPrimalResult] = []    # (P, lambda) of each solved "above" rate
-        self.certs: dict[float, MarginPrimalResult] = {}
+        self.lo = 0.0
+        self.hi = np.inf
+        self.cert: MarginPrimalResult | None = None
+        self.unsettled: list[float] = []
+        self.points: list[tuple[float, float]] = []
 
-    def _below(self, rho: float, Q: np.ndarray | None) -> bool:
-        return _certified_dual_slack(self.sys, self.iqcs, rho, Q) >= -self.eps_t
+    @property
+    def floor(self) -> float:
+        return max([self.lo] + [r for r in self.unsettled if r < self.hi])
 
-    def _above(self, rho: float, cert: MarginPrimalResult | None) -> bool:
-        if cert is None or not _certified_above(self.sys, self.iqcs, cert, self.strict):
-            return False
-        self.certs[rho] = cert
-        return True
+    def _lower(self, rate: float, Q: np.ndarray | None) -> float:
+        """The highest of Q's reach, that reach nudged down and ``rate``
+        at which Q re-checks at-or-below the radius; 0.0 for none."""
+        reach = _q_reach(self.sys, self.iqcs, Q)
+        for r in sorted({reach, reach * (1.0 - _NUDGE), rate}, reverse=True):
+            if 0 < r < np.inf and _certified_dual_slack(self.sys, self.iqcs, r, Q) >= 0:
+                return r
+        return 0.0
 
-    def classify(self, rho: float) -> str:
+    def _upper(self, rate: float, pair: MarginPrimalResult) -> None:
+        """Lower ``hi`` to the least of the pair's reach, that reach nudged
+        up and ``rate`` at which the pair re-checks above the radius."""
+        reach = _pair_reach(self.sys, self.iqcs, pair, self.strict)
+        for r in sorted({reach, reach * (1.0 + _NUDGE), rate}):
+            if not 0 < r < self.hi:
+                continue
+            point = pair if r == rate else margin_point(
+                self.sys, self.iqcs, r, pair.P, pair.lambdas, pair.solution)
+            if _certified_above(self.sys, self.iqcs, point, self.strict):
+                self.hi, self.cert = r, point
+                return
+
+    def probe(self, rate: float) -> str:
+        """Solve at ``rate``, a rate inside (lo, hi), tighten the bracket
+        and classify the rate."""
+        sys, iqcs = self.sys, self.iqcs
         self.count += 1
-        if any(self._below(rho, Q) for Q in self.duals):
+        probe = dual_feasibility_margin(sys, iqcs, rate, solver=self.solver)
+        if np.isfinite(probe.t_star):
+            self.points.append((rate, probe.t_star))
+        self.lo = max(self.lo, self._lower(rate, probe.Q))
+        pairs = [_dual_certificate(sys, iqcs, rate, probe)]
+        if self.lo < rate and not (pairs[0] is not None and _certified_above(
+                sys, iqcs, pairs[0], self.strict)):
+            pairs.append(solve_margin_primal(sys, iqcs, rate, solver=self.solver))
+        for pair in pairs:
+            if pair is not None:
+                self._upper(rate, pair)
+        if self.lo >= rate:
             return "below"
-        if any(self._above(rho, margin_point(self.sys, self.iqcs, rho, pair.P,
-                                             pair.lambdas, pair.solution))
-               for pair in self.pairs):
+        if self.hi <= rate:
             return "above"
-        probe = dual_feasibility_margin(self.sys, self.iqcs, rho, solver=self.solver)
-        if self._below(rho, probe.Q):
-            self.duals.append(probe.Q)
-            return "below"
-        if not (self._above(rho, _dual_certificate(self.sys, self.iqcs, rho, probe))
-                or self._above(rho, solve_margin_primal(
-                    self.sys, self.iqcs, rho, solver=self.solver))):
-            self.ambiguous += 1
-            return "ambiguous"
-        self.pairs.append(self.certs[rho])
-        return "above"
+        self.ambiguous += 1
+        self.unsettled.append(rate)
+        return "ambiguous"
+
+    def next_rate(self) -> float:
+        """An Illinois step on t*(rho) between the nearest solved rates on
+        each side of its root, kept a thousandth of the placement interval
+        (floor, hi) inside it; the interval's midpoint when the step falls
+        outside it or no solved rates bracket the root."""
+        a, b = self.floor, self.hi
+        below = [p for p in self.points if p[1] >= 0]
+        above = [p for p in self.points if p[1] < 0]
+        if not (below and above):
+            return 0.5 * (a + b)
+        (ra, ta), (rb, tb) = max(below), min(above)
+        # Illinois: each further probe on the side of the last one halves
+        # the value kept at the opposite end.
+        side = self.points[-1][1] >= 0
+        repeats = 0
+        for _, t in reversed(self.points[:-1]):
+            if (t >= 0) != side:
+                break
+            repeats += 1
+        if side:
+            tb *= 0.5 ** repeats
+        else:
+            ta *= 0.5 ** repeats
+        x = ra + ta * (rb - ra) / (ta - tb)
+        if not a < x < b:
+            return 0.5 * (a + b)
+        pad = 1e-3 * (b - a)
+        return min(max(x, a + pad), b - pad)
 
 
 def _eig_radius(A: np.ndarray) -> float:
@@ -243,29 +376,25 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                     solver=None) -> RadiusCertificate:
     """Compute the constrained spectral radius with a feasibility certificate.
 
-    Returns the radius within ``bisect_tol`` (up to the floating-point
-    resolution of the probes; near defective boundary eigenvalues the
-    certified band is wider and the ``ambiguous`` counter is nonzero),
-    the final bracket, and (P, lambdas) certifying feasibility at the
-    bracket's upper end.  ``rho == inf`` with status ``no-certificate``
-    means no rate up to ``rho_max`` could be certified feasible, which
-    proves nothing about trajectories.
+    Returns the radius within ``bisect_tol`` (near defective or
+    degenerate boundaries, up to the probes counted in ``ambiguous``),
+    the bracket, and (P, lambdas) certifying feasibility at the bracket's
+    upper end.  ``rho == inf`` with status ``no-certificate`` means no
+    rate up to ``rho_max`` could be certified feasible, which proves
+    nothing about trajectories.
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
     if bisect_tol <= 0 or rho_max <= 0 or strict_eps <= 0:
         raise ValueError("bisect_tol, rho_max and strict_eps must be positive")
-    scale = sys.scale() + iqcs.scale()
-    strict = strict_eps * scale
-    eps_t = 1e-9 * scale
-    prober = _Prober(sys, iqcs, strict, eps_t, solver)
+    strict = strict_eps * (sys.scale() + iqcs.scale())
+    search = _Search(sys, iqcs, strict, solver)
 
-    def build(rho, lo, hi, status="ok", message=""):
-        cert_rho = min(prober.certs) if prober.certs else None
-        cert = prober.certs.get(cert_rho) if cert_rho is not None else None
+    def build(rho, lo, status="ok", message=""):
+        cert = search.cert if status == "ok" else None
         attained = False
         if status == "ok":
-            # The bisected rho is known only to +-bisect_tol and the margin
+            # The searched rho is known only to +-bisect_tol and the margin
             # may be a hair positive just below the true radius.  The margin
             # is non-increasing in rho, so one step above cannot miss an
             # attained optimum, while the trace cap keeps rejecting optima
@@ -283,19 +412,24 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                                                    solver=solver)
                 if attained:
                     break
+        hi = float(search.hi) if cert else np.inf
         return RadiusCertificate(
-            rho=rho,
+            rho=float(rho),
             P=cert.P if cert else None,
             lambdas=cert.lambdas if cert else None,
             attained=attained,
             margin=cert.s_star if cert else np.nan,
-            bracket=(lo, hi),
-            rho_cert=cert_rho,
+            bracket=(float(lo), hi),
+            rho_cert=hi if cert else None,
             status=status,
             message=message,
-            probes=prober.count,
-            ambiguous=prober.ambiguous,
+            probes=search.count,
+            ambiguous=search.ambiguous,
         )
+
+    def no_certificate():
+        return build(np.inf, search.lo, status="no-certificate",
+                     message=f"no certified feasible rate up to rho_max={rho_max:g}")
 
     # Constraint-free systems: the radius is the largest eigenvalue
     # magnitude of A; only the certificate needs solves.  (With a
@@ -305,56 +439,38 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     fast = len(iqcs) == 0 and (sys.m == 0 or not np.any(sys.B))
     if fast:
         rho_e = _eig_radius(sys.A)
-        if rho_e > rho_max and prober.classify(rho_max) != "above":
-            return build(np.inf, rho_max, np.inf, status="no-certificate",
-                         message=f"no certified feasible rate up to rho_max={rho_max:g}")
-        hi = None
+        if rho_e > rho_max and search.probe(rho_max) != "above":
+            return no_certificate()
         for off in [bisect_tol * u for u in _LADDER] + \
                    [max(1.0, rho_e) * u for u in _LADDER_REL]:
-            cand = rho_e + off
-            if prober.classify(cand) == "above":
-                hi = cand
-                break
-        if hi is None:
-            return _general_bisect(sys, prober, bisect_tol, rho_max, build)
-        lo = max(rho_e - bisect_tol, 0.0)
-        return build(rho_e, lo, hi)
+            if search.hi <= rho_e + off or search.probe(rho_e + off) == "above":
+                return build(rho_e, max(rho_e - bisect_tol, 0.0))
 
-    return _general_bisect(sys, prober, bisect_tol, rho_max, build)
-
-
-def _general_bisect(sys, prober, bisect_tol, rho_max, build):
-    lo = bisect_tol
-    kind = prober.classify(lo)
-    if kind == "above":
-        return build(0.0, 0.0, lo)
-
-    hi = max(1.0, _eig_radius(sys.A))
-    while True:
-        if hi > rho_max:
-            kind = prober.classify(rho_max)
-            if kind != "above":
-                return build(np.inf, rho_max, np.inf, status="no-certificate",
-                             message=f"no certified feasible rate up to rho_max={rho_max:g}")
-            hi = rho_max
+    if search.probe(bisect_tol) == "above":
+        return build(0.0, 0.0)
+    # Doubling from max(1, |eig|) until a probe proves an upper end.
+    rate = max(1.0, _eig_radius(sys.A))
+    while search.hi > min(rate, rho_max) and search.floor < rho_max:
+        if rate > search.floor:
+            search.probe(min(rate, rho_max))
+        if rate >= rho_max:
             break
-        kind = prober.classify(hi)
-        if kind == "above":
-            break
-        lo = hi
-        hi = 2.0 * hi
+        rate *= 2.0
+    if search.hi > rho_max:
+        return no_certificate()
 
+    halved = True
     for _ in range(_MAX_BISECT):
-        if hi - lo <= bisect_tol:
+        a, b = search.floor, search.hi
+        if b - a <= bisect_tol:
             break
-        mid = 0.5 * (lo + hi)
-        if prober.classify(mid) == "above":
-            hi = mid
-        else:
-            lo = mid
-
-    rho = 0.5 * (lo + hi)
-    return build(rho, lo, hi)
+        search.probe(search.next_rate() if halved else 0.5 * (a + b))
+        halved = search.hi - search.floor <= 0.5 * (b - a)
+    # Where the dual certificates cannot close the bracket (a defective or
+    # degenerate boundary, whose dual slack vanishes over a band of rates
+    # up to rounding), the lower end is the highest ambiguous rate instead.
+    lo = search.lo if search.hi - search.lo <= bisect_tol else search.floor
+    return build(0.5 * (search.floor + search.hi), lo)
 
 
 def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,

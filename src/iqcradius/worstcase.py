@@ -71,6 +71,11 @@ RANK_TOL = 1e-7
 ANGLE_TOL = 1e-6
 # Horizons scanned for the hard-constraint shift.
 SHIFT_WINDOW = 10_000
+# Partial sums within SHIFT_RTOL * scale * sum_k |z_k|^2 of their minimum
+# count as the minimum, where scale is the size at which the constraint
+# form H = [X; U]' M [X; U] was rounded: sums that are all zero up to
+# rounding then give one shift whatever the sign of that rounding.
+SHIFT_RTOL = 1e-12
 # Steps over which a rank-one witness is re-checked pointwise.
 POINTWISE_HORIZON = 1000
 
@@ -677,20 +682,27 @@ def feedback_gain(modes: WorstCaseModes) -> np.ndarray | None:
     return K
 
 
-def hard_iqc_shift(modes: WorstCaseModes) -> int | None:
+def hard_iqc_shift(modes: WorstCaseModes,
+                   scale: float | None = None) -> int | None:
     """Start offset making the single constraint's partial sums nonnegative.
 
-    Scans the partial sums over horizons 1..SHIFT_WINDOW and returns the first
-    argmin, provided it lies outside the trailing tenth of the window
-    (a minimum at the edge cannot be certified: the sums may keep
-    decreasing).  Requires exactly one constraint matrix.
+    Scans the partial sums over horizons 1..SHIFT_WINDOW and returns the
+    first horizon whose sum lies within the rounding tolerance
+    ``SHIFT_RTOL * scale * sum_k |z_k|^2`` of the minimum, provided it lies
+    outside the trailing tenth of the window (a minimum at the edge cannot
+    be certified: the sums may keep decreasing).  ``scale`` is the size at
+    which H was formed, ``||[X; U]||^2 ||M||``; by default ``||H||``.
+    Requires exactly one constraint matrix.
     """
     if len(modes.H) != 1:
         raise ValueError("the shift argument applies to exactly one constraint")
+    if scale is None:
+        scale = float(np.linalg.norm(modes.H[0], 2))
     Z, _ = mode_orbit(modes, SHIFT_WINDOW - 1)
     per_step = np.einsum("ki,ij,kj->k", Z, modes.H[0], Z)
     sums = np.cumsum(per_step)
-    n_star = int(np.argmin(sums)) + 1
+    tol = SHIFT_RTOL * scale * float(np.einsum("ki,ki->", Z, Z))
+    n_star = int(np.argmax(sums <= sums.min() + tol)) + 1
     if n_star > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
         return None
     return n_star
@@ -830,7 +842,8 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     bounds = iqc_sum_lower_bound(modes)
     shift = None
     if len(iqcs) == 1:
-        shift = hard_iqc_shift(modes)
+        shift = hard_iqc_shift(modes, float(np.linalg.norm(Z, 2)) ** 2
+                               * float(np.linalg.norm(iqcs.entries[0], 2)))
         if shift is None:
             notes.append("no certified shift: the constraint partial sums "
                          "keep decreasing through the scan window")

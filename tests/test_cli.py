@@ -203,6 +203,20 @@ def test_verify_corrupted_direction(tmp_path):
     assert "null space" in out
 
 
+def test_verify_does_not_trust_a_shortened_horizon(tmp_path):
+    """A report that records a zero-step re-check still gets the full one."""
+    problem = write(tmp_path, "p.json", ROTATION)
+    report_path = tmp_path / "report.json"
+    assert run("worst-case", problem, "--out", str(report_path))[0] == 0
+    doc = json.loads(report_path.read_text())
+    doc["witness"]["F"]["data"] = [0.5 * x for x in doc["witness"]["F"]["data"]]
+    doc["margins"]["check_horizon"] = 0
+    report_path.write_text(json.dumps(doc))
+    code, out = run("verify", str(report_path), problem)
+    assert code == 4
+    assert "FAIL witness-checks" in out
+
+
 def _null_certificate_eig(doc):
     doc["margins"]["certificate"]["certificate_eig"] = None
 
@@ -300,7 +314,8 @@ def test_augment_two_filters_roundtrip(tmp_path):
     report_path = tmp_path / "report.json"
     code, _ = run("radius", str(static_path), "--out", str(report_path))
     assert code == 0
-    via_cli = json.loads(report_path.read_text())["rho"]
+    report = json.loads(report_path.read_text())
+    via_cli = report["rho"]
 
     plant = PlantData(A=[[0.6, 0.1], [0.0, 0.4]], B=[[1.0], [0.0]],
                       C=[[1.0, 0.0]], D=[[0.0]])
@@ -313,7 +328,8 @@ def test_augment_two_filters_roundtrip(tmp_path):
     sys_aug, iqcs = augment_all(plant, filters)
     direct = spectral_radius(sys_aug, iqcs)
     assert via_cli == pytest.approx(direct.rho, abs=1e-9)
-    assert via_cli == pytest.approx(0.7142341610407829, abs=1e-6)
+    assert report["bracket"][0] <= via_cli <= report["bracket"][1]
+    assert via_cli == pytest.approx(0.7140134682695511, abs=1e-6)
 
 
 def test_augment_requires_plant_block(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the bisection radius, attainment, and classification."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,6 +353,62 @@ def test_radius_certificate_property(n, m, with_iqc, seed):
     assert float(np.linalg.eigvalsh(cert.P)[0]) >= 1.0 - 1e-6
     assert np.all(cert.lambdas >= 0)
     assert float(np.trace(cert.P)) + float(np.sum(cert.lambdas)) <= TRACE_CAP
+
+
+@pytest.mark.parametrize("case, exact", [
+    *[(gradient_instance(a), max(abs(1.0 - a), abs(1.0 - 10.0 * a)))
+      for a in (0.02, 0.05, 0.1, 2.0 / 11.0, 0.15, 0.19, 0.2)],
+    (rotation_instance(), 1.0),
+])
+def test_closed_form_lies_in_the_bracket(case, exact):
+    sys, iqcs = case
+    cert = spectral_radius(sys, iqcs)
+    lo, hi = cert.bracket
+    assert lo <= exact <= hi
+    assert cert.rho == pytest.approx(exact, abs=1e-6)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 4), m=st.integers(0, 1), with_iqc=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_bracket_ends_are_proven(n, m, with_iqc, seed):
+    """The lower end is a rate at which a dual Q re-checked with slack >= 0
+    (or 0, or the eigenvalue radius less bisect_tol without constraints),
+    unless that proof stops short of the tolerance; the upper end is
+    ``rho_cert``, where (P, lambda) re-verifies."""
+    sys, iqcs = _random_system(n, m, with_iqc, seed)
+    tol = 1e-6
+    proven, kinds = [0.0], {}
+    real_slack, real_probe = radius._certified_dual_slack, radius._Search.probe
+
+    def slack(sys_, iqcs_, rho, Q):
+        value = real_slack(sys_, iqcs_, rho, Q)
+        if value >= 0:
+            proven.append(rho)
+        return value
+
+    def probe(self, rate):
+        kinds[rate] = real_probe(self, rate)
+        return kinds[rate]
+
+    with mock.patch.object(radius, "_certified_dual_slack", slack), \
+            mock.patch.object(radius._Search, "probe", probe):
+        cert = spectral_radius(sys, iqcs, bisect_tol=tol)
+    if cert.status != "ok":
+        return
+    lo, hi = cert.bracket
+    if len(iqcs) == 0 and (sys.m == 0 or not np.any(sys.B)):
+        oracle = float(np.max(np.abs(np.linalg.eigvals(sys.A))))
+        assert lo == max(oracle - tol, 0.0)
+    elif hi - max(proven) <= tol:
+        assert lo == max(proven)
+    else:
+        assert kinds[lo] == "ambiguous"
+    assert cert.rho_cert == hi
+    scale = sys.scale() + iqcs.scale()
+    H = margin_matrix(sys, iqcs, hi, cert.P, cert.lambdas)
+    assert float(np.linalg.eigvalsh(H)[-1]) <= -0.5e-8 * scale
+    assert float(np.linalg.eigvalsh(cert.P)[0]) >= 1.0 - 1e-6
 
 
 def test_overflowing_growth_witness_warns_nothing():

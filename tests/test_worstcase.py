@@ -9,6 +9,7 @@ matrices whose partial sums can be brute-forced.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,24 @@ def test_hard_shift_matches_brute_force():
     (sums,) = iqc_partial_sums(traj, iqcs)
     assert shift == int(np.argmin(sums)) + 1
     assert shift == 8
+
+
+def test_hard_shift_ignores_rounding_of_an_equality_witness():
+    """Gradient descent at step 2/L meets its sector constraint with
+    equality, so its constraint form H is zero up to rounding; a
+    rounding-level change of the witness must not move the shift."""
+    L = 10.0
+    M = np.array([[-L, 0.5 * (1.0 + L)], [0.5 * (1.0 + L), -1.0]])
+    outcome = build_witness(SystemData(A=[[1.0]], B=[[-2.0 / L]]),
+                            IqcSet.from_matrices([M]), rho=1.0)
+    assert outcome.ok
+    Z = np.vstack([outcome.modes.X, outcome.modes.U])
+    scale = np.linalg.norm(Z, 2) ** 2 * np.linalg.norm(M, 2)
+    shifts = set()
+    for k in range(-4, 5):
+        Zk = Z * (1.0 + np.array([[k * 1e-16], [0.0]]))
+        shifts.add(hard_iqc_shift(replace(outcome.modes, H=(Zk.T @ M @ Zk,)), scale))
+    assert shifts == {outcome.report.hard_shift} == {1}
 
 
 def test_pointwise_flags(feedback_witness, rotation_witness):
