@@ -743,7 +743,7 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     re-inflated geometrically, which preserves the dynamics exactly but
     is only offered without constraint matrices (their partial sums do
     not survive the growth weighting).  ``radius_cert`` is the radius
-    certificate when the caller already bisected; without one the radius
+    certificate when the caller already searched; without one the radius
     is recomputed.  Either way it must match ``rho`` with attainment.
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
