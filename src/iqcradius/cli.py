@@ -35,7 +35,8 @@ Exit codes:
 The environment variables ``IQCRADIUS_TOL``, ``IQCRADIUS_RHO_MAX``,
 ``IQCRADIUS_STRICT_EPS`` and ``IQCRADIUS_HORIZON`` override the
 built-in defaults; a problem file's ``options`` block overrides the
-environment, and command-line flags override everything.
+environment, and command-line flags override everything.  A bad value
+from any of them (see ``_check_option``) is an input error.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .dynamic_iqc import IqcFilter, PlantData, augment_all
 from .model import DimensionMismatchError, IqcSet, SystemData, margin_matrix
 from .radius import classify, spectral_radius
-from .verify import check_witness
+from .verify import CHECK_HORIZON, check_witness
 from .worstcase import (
     EigenGroup,
     WitnessReport,
@@ -75,8 +76,6 @@ DEFAULT_TOL = 1e-6
 DEFAULT_RHO_MAX = 1e3
 DEFAULT_STRICT_EPS = 1e-8
 DEFAULT_HORIZON = 300
-# Horizon over which verification re-checks constraint partial sums.
-CHECK_HORIZON = 10_000
 # Agreement required between recorded and recomputed margins.
 REPRODUCE_RTOL = 1e-9
 
@@ -160,6 +159,20 @@ def _matrix_to_json(arr: np.ndarray) -> dict:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_option(key: str, value, source: str) -> None:
+    """An option is a finite number > 0, and ``horizon`` an integer >= 1;
+    ``source`` names where the value came from."""
+    if key == "horizon":
+        _require(isinstance(value, int) and not isinstance(value, bool)
+                 and value >= 1,
+                 f"{source}: expected a positive integer, got {value!r}")
+    else:
+        # False for NaN, inf and integers too large for a float.
+        _require(_is_number(value) and 0 < value <= sys.float_info.max,
+                 f"{source}: expected a finite positive number, "
+                 f"got {value!r}")
 
 
 def _as_number(value, field: str) -> float:
@@ -303,16 +316,7 @@ def load_problem(path: str) -> Problem:
         _require(key in _OPTION_KEYS,
                  f"options: unknown key '{key}' (allowed: "
                  f"{', '.join(_OPTION_KEYS)})")
-        if key == "horizon":
-            _require(isinstance(value, int) and not isinstance(value, bool)
-                     and value >= 1,
-                     f"options.horizon: expected a positive integer, "
-                     f"got {value!r}")
-        else:
-            _require(isinstance(value, (int, float))
-                     and not isinstance(value, bool) and value > 0,
-                     f"options.{key}: expected a positive number, "
-                     f"got {value!r}")
+        _check_option(key, value, f"options.{key}")
 
     return Problem(sys=sys_data, iqcs=iqcs, plant=plant,
                    filters=tuple(filters), options=dict(options))
@@ -322,19 +326,27 @@ def _resolve(args, options: dict) -> tuple:
     """The options in ``_OPTION_KEYS`` order, each from the first of: its
     flag, the problem file's ``options``, ``IQCRADIUS_<KEY>`` in the
     environment, the built-in default.  A subcommand without a flag for
-    a key skips the first step."""
+    a key skips the first step.  Each value passes ``_check_option``,
+    whichever source it came from."""
     out = []
     for key, default in _OPTION_DEFAULTS.items():
         env_key = f"IQCRADIUS_{key.upper()}"
-        value = getattr(args, key, None)
-        if value is None:
-            value = options.get(key, os.environ.get(env_key, default))
-        try:
-            out.append(type(default)(value))
-        except ValueError:      # only a string from the environment fails
-            raise ProblemFormatError(
-                f"environment {env_key}: expected a number, got {value!r}"
-            ) from None
+        flag = getattr(args, key, None)
+        if flag is not None:
+            value, source = flag, "--" + key.replace("_", "-")
+        elif key in options:
+            value, source = options[key], f"options.{key}"
+        elif env_key in os.environ:
+            raw, source = os.environ[env_key], f"environment {env_key}"
+            try:
+                value = type(default)(raw)
+            except ValueError:
+                raise ProblemFormatError(
+                    f"{source}: expected a number, got {raw!r}") from None
+        else:
+            value, source = default, "default"
+        _check_option(key, value, source)
+        out.append(type(default)(value))
     return tuple(out)
 
 
@@ -536,8 +548,7 @@ def cmd_worst_case(args) -> int:
     }
 
     if outcome is not None and outcome.ok:
-        wc = check_witness(sys_data, outcome.report, iqcs,
-                           horizon=CHECK_HORIZON)
+        wc = check_witness(sys_data, outcome.report, iqcs)
         report["witness"] = _witness_json(outcome.report)
         report["margins"]["witness"] = _witness_margins(wc)
         report["margins"]["check_horizon"] = CHECK_HORIZON

@@ -13,7 +13,7 @@ and its adjoint ``L*(Q) = [A B] Q [A B]' - [I 0] Q [I 0]'`` with respect
 to the trace inner product, and the rate-rho inequality matrix
 ``L_rho(P) + sum_i lambda_i M_i`` that every certificate is checked
 against (``margin_matrix``).  Everything downstream (feasibility margins,
-bisection, witness extraction) is built from these two maps.
+the radius search, witness extraction) is built from these two maps.
 
 All matrices are dense 64-bit floating point.  Input dimension zero is a
 first-class citizen: ``B`` may be an ``n x 0`` matrix, and every

@@ -385,8 +385,8 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    if bisect_tol <= 0 or rho_max <= 0 or strict_eps <= 0:
-        raise ValueError("bisect_tol, rho_max and strict_eps must be positive")
+    if not all(0 < x < np.inf for x in (bisect_tol, rho_max, strict_eps)):
+        raise ValueError("bisect_tol, rho_max and strict_eps must be finite, > 0")
     strict = strict_eps * (sys.scale() + iqcs.scale())
     search = _Search(sys, iqcs, strict, solver)
 

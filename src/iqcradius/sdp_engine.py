@@ -2,9 +2,9 @@
 
 The analysis needs a handful of small dense SDPs: the feasibility-margin
 program over (s, P, lambda), its trace-normalized dual over Q, a
-feasibility probe used by the bisection, and later a nuclear-norm
-relaxation.  All of them are affine in their matrix variables, so this
-module provides
+feasibility probe used by the radius search, and the trace-minimizing
+relaxation of ``worstcase._relaxed_direction``.  All of them are affine
+in their matrix variables, so this module provides
 
   * :class:`SdpProblem` -- a tiny builder for block-structured affine
     SDPs (symmetric matrix and scalar variables, PSD constraints, scalar
@@ -612,7 +612,7 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float, *,
 
     Maximizes t subject to L_rho*(Q) >= tI, trace(Q M_i) >= t, Q >= 0,
     trace(Q) = 1.  The feasible set is compact and always has interior,
-    which makes this the numerically robust probe for the bisection.
+    which makes this the numerically robust probe for the radius search.
     """
     iqcs.check_matches(sys)
     if rho <= 0:

@@ -3,8 +3,8 @@
 Everything the rest of the package produces can be re-verified here
 without trusting the solver that produced it: Lyapunov descent along a
 trajectory, constraint partial sums against their recorded lower
-bounds, witness orbit properties, and growth diagnostics.  All checks
-are plain linear algebra over the reported data.
+bounds, witness orbit properties, and a growth test.  All checks are
+plain linear algebra over the reported data.
 
 The Lyapunov function along a trajectory is
 
@@ -20,12 +20,12 @@ its one-step difference obeys the algebraic identity
 The one-step dynamics residual and its tolerance live in ``model``
 (``dynamics_residual``, ``DYNAMICS_RTOL``) and the orbit generator in
 ``worstcase`` (``mode_orbit``), shared with the witness pipeline.
-``check_witness`` regenerates the orbit by block doubling; its rows
-begin bit for bit with the witness trajectory.
+``check_witness`` regenerates the orbit over ``CHECK_HORIZON`` steps;
+its rows begin bit for bit with the witness trajectory.
 
-Boundedness diagnostics state horizon-bounded facts only (the maximum
-norm, a half-versus-half growth ratio, and a fitted geometric rate); a
-finite trajectory cannot certify a limit, so no field here claims one.
+The growth test states a horizon-bounded fact only (a half-versus-half
+comparison of state norms); a finite trajectory cannot certify a limit,
+so no field here claims one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .model import (
     margin_matrix,
 )
 from .radius import RadiusCertificate
-from .worstcase import WitnessReport, mode_orbit
+from .worstcase import SHORTENED_NOTE, WitnessReport, mode_orbit
 
 __all__ = [
     "LyapunovTrace",
@@ -57,6 +57,8 @@ __all__ = [
     "check_witness",
 ]
 
+# Steps over which a witness orbit is re-checked.
+CHECK_HORIZON = 10_000
 # Agreement tolerance for the telescoped-versus-direct difference
 # identity; it is exact algebra, so only rounding noise is allowed.
 IDENTITY_RTOL = 1e-9
@@ -91,19 +93,15 @@ class LyapunovTrace:
 class TrajectoryDiagnostics:
     """Horizon-bounded facts about one trajectory.
 
-    ``growth_ratio`` compares the largest state norm over the second
-    half of the horizon with the first half; ``growth_rate`` is the
-    fitted per-step geometric rate of the norms.  ``growing`` is the
-    ratio test, which also catches sub-geometric growth.
+    ``growing`` compares the largest state norm over the second half of
+    the horizon with the first half, which also catches sub-geometric
+    growth.
     """
 
     steps: int
     dynamics_residual: float
     dynamics_ok: bool
     iqc_minima: np.ndarray    # min_N S_i(N), one per constraint
-    max_norm: float
-    growth_ratio: float
-    growth_rate: float
     growing: bool
 
 
@@ -123,8 +121,6 @@ class WitnessCheck:
     direction_ok: bool
     gain_residual: float      # nan when the report carries no gain
     gain_ok: bool
-    max_norm: float
-    growth_ratio: float
     growing: bool
     notes: tuple[str, ...]
 
@@ -211,8 +207,7 @@ def strengthen_certificate(cert: RadiusCertificate) -> RadiusCertificate:
                    else scale * np.asarray(lambdas, dtype=float))
 
 
-def _growth_facts(norms: np.ndarray) -> tuple[float, float, float, bool]:
-    max_norm = float(norms.max()) if norms.size else 0.0
+def _growing(norms: np.ndarray) -> bool:
     half = (norms.size + 1) // 2
     first, second = norms[:half], norms[half:]
     peak_first = float(first.max()) if first.size else 0.0
@@ -221,19 +216,12 @@ def _growth_facts(norms: np.ndarray) -> tuple[float, float, float, bool]:
         ratio = peak_second / peak_first if second.size else 1.0
     else:
         ratio = np.inf if peak_second > 0.0 else 1.0
-    positive = norms > 0.0
-    if int(positive.sum()) >= 2:
-        k = np.flatnonzero(positive)
-        slope = np.polyfit(k.astype(float), np.log(norms[k]), 1)[0]
-        rate = float(np.exp(slope))
-    else:
-        rate = 1.0
-    return max_norm, float(ratio), rate, bool(ratio > 1.0 + GROWTH_RATIO_TOL)
+    return bool(ratio > 1.0 + GROWTH_RATIO_TOL)
 
 
 def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
                            iqcs: IqcSet | None = None) -> TrajectoryDiagnostics:
-    """Dynamics residual, constraint sums, and growth facts for a trajectory."""
+    """Dynamics residual, constraint sums, and the growth test for a trajectory."""
     if traj.n != sys.n or traj.m != sys.m:
         raise DimensionMismatchError(
             f"trajectory dimensions (n={traj.n}, m={traj.m}) do not "
@@ -243,26 +231,24 @@ def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
         minima = np.array([float(s.min()) for s in iqc_partial_sums(traj, iqcs)])
     else:
         minima = np.zeros(0)
-    norms = np.linalg.norm(traj.states, axis=1)
-    max_norm, ratio, rate, growing = _growth_facts(norms)
     return TrajectoryDiagnostics(
         steps=len(traj), dynamics_residual=residual,
         dynamics_ok=residual <= DYNAMICS_RTOL, iqc_minima=minima,
-        max_norm=max_norm, growth_ratio=ratio, growth_rate=rate,
-        growing=growing)
+        growing=_growing(np.linalg.norm(traj.states, axis=1)))
 
 
 def check_witness(sys: SystemData, report: WitnessReport,
                   iqcs: IqcSet | None = None, *,
-                  horizon: int = 10_000) -> WitnessCheck:
+                  horizon: int = CHECK_HORIZON) -> WitnessCheck:
     """Re-verify a witness report over a freshly generated orbit.
 
     Checks, each with its margin: the orbit satisfies the dynamics; all
     constraint partial sums stay above their recorded lower bounds for
-    every horizon up to ``horizon``; the orbit coefficient norm
-    ``||F^k v||`` is constant; the direction is not in the null space
-    of ``X``; and, when the report carries a feedback gain, the inputs
-    follow it.  Failures are recorded in the result, not raised.
+    every horizon up to ``horizon`` (shortened for a growth orbit, with a
+    note); the orbit coefficient norm ``||F^k v||`` is constant; the
+    direction is not in the null space of ``X``; and, when the report
+    carries a feedback gain, the inputs follow it.  Failures are
+    recorded in the result, not raised.
     """
     if iqcs is None:
         iqcs = IqcSet.empty(sys.n + sys.m)
@@ -273,17 +259,10 @@ def check_witness(sys: SystemData, report: WitnessReport,
             f"report records {bounds.size} constraint bounds but the "
             f"problem supplies {len(iqcs)} constraints")
     notes: list[str] = []
-    horizon = steps = int(horizon)
-    growth = float(report.growth)
-    if growth > 1.0:
-        # Keep the weighted states, and their squared norms, inside the
-        # floating-point range.
-        steps = min(steps, max(int(np.floor(300.0 / np.log(growth))), 1))
-    Z, traj = mode_orbit(report.modes, steps, growth)
-    if steps < horizon:
-        notes.append(
-            f"horizon shortened to {steps} steps to keep the "
-            f"growth-weighted orbit finite")
+    horizon = int(horizon)
+    Z, traj = mode_orbit(report.modes, horizon, float(report.growth))
+    if len(traj) < horizon:
+        notes.append(SHORTENED_NOTE.format(len(traj)))
 
     diag = trajectory_diagnostics(sys, traj, iqcs)
 
@@ -327,5 +306,4 @@ def check_witness(sys: SystemData, report: WitnessReport,
         norm_drift=drift, norm_ok=norm_ok,
         direction_norm=direction_norm, direction_ok=direction_ok,
         gain_residual=gain_residual, gain_ok=gain_ok,
-        max_norm=diag.max_norm, growth_ratio=diag.growth_ratio,
         growing=diag.growing, notes=tuple(notes))

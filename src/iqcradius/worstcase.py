@@ -78,6 +78,11 @@ SHIFT_WINDOW = 10_000
 SHIFT_RTOL = 1e-12
 # Steps over which a rank-one witness is re-checked pointwise.
 POINTWISE_HORIZON = 1000
+# A growth orbit stops before growth ** k passes exp(GROWTH_LOG_CAP), so
+# its states and their squared norms stay inside the float range.
+GROWTH_LOG_CAP = 300.0
+SHORTENED_NOTE = ("horizon shortened to {} steps to keep the "
+                  "growth-weighted orbit finite")
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +596,19 @@ def mode_orbit(modes: WorstCaseModes, horizon: int,
                growth: float = 1.0) -> tuple[np.ndarray, Trajectory]:
     """Rows z_k = F^k v, k = 0..horizon, and the orbit growth^k [X; U] z_k.
 
-    Block doubling: from Z[0] = v, each K = 1, 2, 4, ... fills
-    Z[K:2K] = Z[:K] (F^K)' (cut at the horizon), then squares F^K.  A
-    row's arithmetic does not depend on the horizon, so a shorter orbit
-    is a bit-for-bit prefix of a longer one.  Over 10^4 steps the rows
-    stay within 5e-13 |v| of an extended-precision step loop (random
-    orthogonal F, d <= 6).  Nothing caps the horizon: a large
-    ``growth ** horizon`` overflows to inf.
+    For ``growth > 1`` the horizon is cut to
+    ``max(floor(GROWTH_LOG_CAP / ln growth), 1)`` steps; callers compare
+    the orbit's length with the horizon they asked for.  Block doubling: from Z[0] = v, each K = 1, 2, 4, ...
+    fills Z[K:2K] = Z[:K] (F^K)' (cut at the horizon), then squares F^K.
+    A row's arithmetic does not depend on the horizon, so a shorter
+    orbit is a bit-for-bit prefix of a longer one.  Over 10^4 steps the
+    rows stay within 5e-13 |v| of an extended-precision step loop
+    (random orthogonal F, d <= 6).
     """
     if modes.v is None:
         raise ValueError("modes carry no direction v")
+    if growth > 1.0:
+        horizon = min(horizon, max(int(GROWTH_LOG_CAP / np.log(growth)), 1))
     Z = np.empty((horizon + 1, modes.d))
     Z[0] = modes.v
     Fk, k = modes.F, 1
@@ -612,8 +620,7 @@ def mode_orbit(modes: WorstCaseModes, horizon: int,
     inputs = Z[:horizon] @ modes.U.T
     provenance = "worst-case mode orbit"
     if growth != 1.0:
-        with np.errstate(over="ignore"):
-            weights = growth ** np.arange(horizon + 1)
+        weights = growth ** np.arange(horizon + 1)
         states = states * weights[:, None]
         inputs = inputs * weights[:horizon, None]
         provenance += f", geometric growth {growth:.6g}"
@@ -622,7 +629,7 @@ def mode_orbit(modes: WorstCaseModes, horizon: int,
 
 def build_trajectory(modes: WorstCaseModes, horizon: int,
                      growth: float = 1.0) -> Trajectory:
-    """The mode orbit [x_k; u_k] = growth^k [X; U] F^k v over ``horizon`` steps."""
+    """The orbit [x_k; u_k] = growth^k [X; U] F^k v; see ``mode_orbit``."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     return mode_orbit(modes, horizon, growth)[1]
@@ -836,6 +843,8 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                     f"dynamics residual {residual:.3e} exceeds tolerance", modes)
 
     notes: list[str] = []
+    if len(traj) < horizon:
+        notes.append(SHORTENED_NOTE.format(len(traj)))
     gain = feedback_gain(modes)
     if gain is None:
         notes.append("no static gain: the state factor is column rank deficient")

@@ -2,13 +2,18 @@
 
 Each test writes its own problem files into ``tmp_path`` and drives
 ``iqcradius.cli.main`` in process, checking exit codes, report fields,
-and byte-level determinism.  Exit codes: 0 success, 1 input error,
+and byte-level determinism; one case runs the CLI as a subprocess with
+RuntimeWarnings as errors.  Exit codes: 0 success, 1 input error,
 2 no certified rate, 3 no witness, 4 verification failure.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,8 @@ from iqcradius.cli import main
 from iqcradius.dynamic_iqc import IqcFilter, PlantData, augment_all
 from iqcradius.model import IqcSet, SystemData
 from iqcradius.radius import spectral_radius
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def mat(rows):
@@ -128,6 +135,44 @@ def test_option_precedence(tmp_path, monkeypatch):
     assert code == 2
     code, _ = run("radius", problem, "--rho-max", "0.6")
     assert code == 0
+
+
+@pytest.mark.parametrize("command, doc, flags, env, source", [
+    ("radius", STABLE, ["--tol", "nan"], {}, "--tol"),
+    ("radius", STABLE, ["--tol", "-1"], {}, "--tol"),
+    ("radius", STABLE, ["--rho-max", "0"], {}, "--rho-max"),
+    ("radius", UNBOUNDED, ["--rho-max", "inf"], {}, "--rho-max"),
+    ("radius", dict(UNBOUNDED, options={"rho_max": float("inf")}), [], {},
+     "options.rho_max"),
+    ("radius", STABLE, [], {"IQCRADIUS_TOL": "-1"},
+     "environment IQCRADIUS_TOL"),
+    ("worst-case", ROTATION, ["--horizon", "0"], {}, "--horizon"),
+    ("worst-case", ROTATION, [], {"IQCRADIUS_HORIZON": "0"},
+     "environment IQCRADIUS_HORIZON"),
+])
+def test_bad_option_is_an_input_error_naming_its_source(
+        tmp_path, monkeypatch, command, doc, flags, env, source):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    problem = write(tmp_path, "p.json", doc)
+    code, out = run(command, problem, *flags)
+    assert code == 1
+    assert f"error: {source}: expected a" in out
+    assert "Traceback" not in out
+
+
+def test_bad_option_exits_cleanly_under_warnings_as_errors(tmp_path):
+    problem = write(tmp_path, "p.json", UNBOUNDED)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "iqcradius.cli",
+         "radius", problem, "--rho-max", "inf"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "error: --rho-max: expected a finite positive number" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_worst_case_rotation(tmp_path):

@@ -454,21 +454,23 @@ def test_growth_mode_above_one():
 
 
 def test_growth_orbit_overflow_stops_at_trajectory_assembly():
-    """States that overflow to inf must not pass the dynamics gate."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0, horizon=2000)
-    assert not outcome.ok
-    assert outcome.stage == "trajectory-assembly"
-    assert "overflows" in outcome.reason
-    assert outcome.trajectory is None
+    """A horizon whose weights would overflow is shortened, not refused."""
+    sys = SystemData(A=[[2.0]])
+    outcome = build_witness(sys, rho=2.0, horizon=2000)
+    assert outcome.ok, outcome.reason
+    assert len(outcome.report.trajectory) == 432     # floor(300 / ln 2)
+    assert "horizon shortened to 432 steps" in outcome.report.notes[0]
+    result = check_witness(sys, outcome.report, IqcSet.empty(1))
+    assert result.ok
+    assert result.steps == 432
 
 
 def test_growth_orbit_overflow_warns_nothing():
-    """The overflowing weights are rejected by the finiteness gate, quietly."""
+    """The shortened growth orbit never forms an overflowing weight."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0, horizon=2000)
-    assert outcome.stage == "trajectory-assembly"
+    assert outcome.ok
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
@@ -495,16 +497,32 @@ def test_mode_orbit_matches_the_step_loop(seed, d, horizon, extra):
 
 
 def test_growth_orbit_with_finite_states_beyond_norm_range_is_kept():
-    """Finite states whose squared norms overflow still make a witness."""
+    """A rate-5 orbit is cut where its squared norms still fit a float."""
     sys = SystemData(A=5.0 * rotation(np.pi / 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcome = build_witness(sys, IqcSet.empty(2), rho=5.0)
+    outcome = build_witness(sys, IqcSet.empty(2), rho=5.0)
     assert outcome.ok, outcome.reason
     states = outcome.report.trajectory.states
-    assert len(outcome.report.trajectory) == 300
+    assert len(outcome.report.trajectory) == 186     # floor(300 / ln 5)
     assert np.isfinite(states).all()
-    assert np.abs(states).max() > 1e200
+    assert np.isfinite(np.einsum("ki,ki->k", states, states)).all()
     assert check_witness(sys, outcome.report, IqcSet.empty(2)).ok
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       growth=st.floats(1.0, 1e6, exclude_min=True),
+       horizon=st.integers(0, 10**5))
+def test_growth_orbit_rows_and_squared_norms_stay_finite(seed, d, growth,
+                                                         horizon):
+    rng = np.random.default_rng(seed)
+    F, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    modes = WorstCaseModes(Q=np.eye(d), d=d, X=np.eye(d), U=np.eye(d),
+                           F=F, groups=(), H=(), v=rng.standard_normal(d))
+    cap = max(int(np.floor(300.0 / np.log(growth))), 1)
+    Z, traj = mode_orbit(modes, horizon, growth)
+    assert len(Z) == min(horizon, cap) + 1
+    for rows in (traj.states, traj.inputs):
+        assert np.isfinite(rows).all()
+        assert np.isfinite(np.einsum("ki,ki->k", rows, rows)).all()
 
 
 def test_rejects_rank_deficient_input_matrix():
