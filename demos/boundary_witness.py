@@ -36,7 +36,7 @@ def main() -> None:
     print(f"dual witness rank d = {modes.d}")
     print("mode angles (radians):",
           ", ".join(f"{g.theta:.6f}" for g in modes.groups))
-    norms = np.linalg.norm(report.trajectory.states, axis=1)
+    norms = np.linalg.norm(outcome.trajectory.states, axis=1)
     print(f"trajectory norms stay in [{norms.min():.12f}, {norms.max():.12f}]")
     print(f"constraint sum lower bound: {report.iqc_lower_bounds[0]:+.6f}")
     if report.hard_shift is not None:

@@ -21,6 +21,14 @@ the constraint lower bounds), and the verification margins that
 ``verify`` re-checks.  Eigen-group bases are stored as separate real
 and imaginary parts so reports round-trip exactly.
 
+``verify`` recomputes each recorded margins block with the functions
+that wrote it (``_certificate_margins``, ``_witness_margins``) and
+compares them entry by entry, ``steps`` included.  It rejects a witness
+block whose arrays do not have the shapes that ``n``, ``m`` and the
+columns ``d`` of ``X`` give (exit 1), and it re-checks the recorded
+eigen-groups against ``F`` (``worstcase.verify_groups``) before the
+sign condition.
+
 Exit codes:
 
 * 0 -- success.
@@ -36,7 +44,8 @@ The environment variables ``IQCRADIUS_TOL``, ``IQCRADIUS_RHO_MAX``,
 ``IQCRADIUS_STRICT_EPS`` and ``IQCRADIUS_HORIZON`` override the
 built-in defaults; a problem file's ``options`` block overrides the
 environment, and command-line flags override everything.  A bad value
-from any of them (see ``_check_option``) is an input error.
+from any of them (see ``_check_option``) is an input error, and so is a
+``rho_max`` above ``radius.RHO_MAX_LIMIT`` = 1e50.
 """
 
 from __future__ import annotations
@@ -53,15 +62,15 @@ import numpy as np
 
 from .dynamic_iqc import IqcFilter, PlantData, augment_all
 from .model import DimensionMismatchError, IqcSet, SystemData, margin_matrix
-from .radius import classify, spectral_radius
+from .radius import RHO_MAX_LIMIT, classify, spectral_radius
 from .verify import CHECK_HORIZON, check_witness
 from .worstcase import (
     EigenGroup,
     WitnessReport,
     WorstCaseModes,
-    build_trajectory,
     build_witness,
     verify_direction,
+    verify_groups,
 )
 
 __all__ = ["main", "load_problem", "ProblemFormatError"]
@@ -101,22 +110,13 @@ def _as_count(value, field: str) -> int:
     return value
 
 
-def _matrix_from_json(obj, field: str) -> np.ndarray:
-    """Decode a matrix: either {rows, cols, data} or a list of rows."""
+def _matrix_from_json(obj, field: str, shape=None) -> np.ndarray:
+    """Decode a matrix: either {rows, cols, data} or a list of rows; with
+    ``shape``, a matrix of another shape is an input error."""
     if isinstance(obj, list):
-        cols = None
-        flat: list = []
-        for idx, row in enumerate(obj):
-            _require(isinstance(row, list),
-                     f"{field}: row {idx} is not a list")
-            if cols is None:
-                cols = len(row)
-            _require(len(row) == cols,
-                     f"{field}: row {idx} has {len(row)} entries, "
-                     f"expected {cols}")
-            flat.extend(row)
-        rows = len(obj)
-        cols = cols if cols is not None else 0
+        data, rows = obj, len(obj)
+        cols = len(obj[0]) if obj and isinstance(obj[0], list) else 0
+        nested = True
     else:
         _require(isinstance(obj, dict),
                  f"{field}: expected a matrix object with rows/cols/data "
@@ -127,20 +127,23 @@ def _matrix_from_json(obj, field: str) -> np.ndarray:
         cols = _as_count(obj["cols"], f"{field}.cols")
         data = obj["data"]
         _require(isinstance(data, list), f"{field}.data: expected a list")
-        if data and all(isinstance(row, list) for row in data):
-            _require(len(data) == rows,
-                     f"{field}: expected {rows} rows, got {len(data)}")
-            flat = []
-            for idx, row in enumerate(data):
-                _require(len(row) == cols,
-                         f"{field}: row {idx} has {len(row)} entries, "
-                         f"expected {cols}")
-                flat.extend(row)
-        else:
-            _require(len(data) == rows * cols,
-                     f"{field}: expected {rows * cols} entries for "
-                     f"{rows}x{cols}, got {len(data)}")
-            flat = data
+        nested = bool(data) and all(isinstance(row, list) for row in data)
+        _require(not nested or len(data) == rows,
+                 f"{field}: expected {rows} rows, got {len(data)}")
+    if nested:
+        flat: list = []
+        for idx, row in enumerate(data):
+            _require(isinstance(row, list),
+                     f"{field}: row {idx} is not a list")
+            _require(len(row) == cols,
+                     f"{field}: row {idx} has {len(row)} entries, "
+                     f"expected {cols}")
+            flat.extend(row)
+    else:
+        _require(len(data) == rows * cols,
+                 f"{field}: expected {rows * cols} entries for "
+                 f"{rows}x{cols}, got {len(data)}")
+        flat = data
     try:
         arr = np.asarray(flat, dtype=float).reshape(rows, cols)
     except (TypeError, ValueError) as exc:
@@ -148,6 +151,9 @@ def _matrix_from_json(obj, field: str) -> np.ndarray:
                                  f"({exc})") from None
     _require(bool(np.all(np.isfinite(arr))) if arr.size else True,
              f"{field}: entries must be finite")
+    if shape is not None:
+        _require(arr.shape == shape,
+                 f"{field}: expected {shape[0]}x{shape[1]}, got {rows}x{cols}")
     return arr
 
 
@@ -158,20 +164,27 @@ def _matrix_to_json(arr: np.ndarray) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an integer that converts to one; not a bool."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max)
 
 
 def _check_option(key: str, value, source: str) -> None:
-    """An option is a finite number > 0, and ``horizon`` an integer >= 1;
-    ``source`` names where the value came from."""
+    """An option is a finite number > 0, ``rho_max`` at most
+    ``RHO_MAX_LIMIT`` (beyond it the engine's rho^4 products overflow),
+    and ``horizon`` an integer >= 1; ``source`` names where the value
+    came from."""
     if key == "horizon":
         _require(isinstance(value, int) and not isinstance(value, bool)
                  and value >= 1,
                  f"{source}: expected a positive integer, got {value!r}")
     else:
+        limit = RHO_MAX_LIMIT if key == "rho_max" else sys.float_info.max
+        bound = f" up to {limit:g}" if key == "rho_max" else ""
         # False for NaN, inf and integers too large for a float.
-        _require(_is_number(value) and 0 < value <= sys.float_info.max,
-                 f"{source}: expected a finite positive number, "
+        _require(_is_number(value) and 0 < value <= limit,
+                 f"{source}: expected a finite positive number{bound}, "
                  f"got {value!r}")
 
 
@@ -246,26 +259,15 @@ def load_problem(path: str) -> Problem:
         m = _as_count(dims["m"], "dims.m")
         _require(n >= 1, "dims.n: must be at least 1")
         _require("A" in doc, "A: required")
-        A = _matrix_from_json(doc["A"], "A")
-        _require(A.shape == (n, n),
-                 f"A: expected {n}x{n}, got {A.shape[0]}x{A.shape[1]}")
-        if m == 0:
-            B = _matrix_from_json(doc["B"], "B") if "B" in doc \
-                else np.zeros((n, 0))
-        else:
-            _require("B" in doc, "B: required when m > 0")
-            B = _matrix_from_json(doc["B"], "B")
-        _require(B.shape == (n, m),
-                 f"B: expected {n}x{m}, got {B.shape[0]}x{B.shape[1]}")
+        A = _matrix_from_json(doc["A"], "A", (n, n))
+        _require("B" in doc or m == 0, "B: required when m > 0")
+        B = _matrix_from_json(doc["B"], "B", (n, m)) if "B" in doc \
+            else np.zeros((n, 0))
         mats = []
         raw = doc.get("iqcs", [])
         _require(isinstance(raw, list), "iqcs: expected a list")
         for idx, entry in enumerate(raw):
-            M = _matrix_from_json(entry, f"iqcs[{idx}]")
-            d = n + m
-            _require(M.shape == (d, d),
-                     f"iqcs[{idx}]: expected {d}x{d}, got "
-                     f"{M.shape[0]}x{M.shape[1]}")
+            M = _matrix_from_json(entry, f"iqcs[{idx}]", (n + m, n + m))
             asym = float(np.linalg.norm(M - M.T))
             _require(asym <= 1e-9 * max(1.0, float(np.linalg.norm(M))),
                      f"iqcs[{idx}]: matrix is not symmetric")
@@ -382,10 +384,24 @@ def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, rho_c: float,
     return {"certificate_eig": eig, "p_min_eig": pmin}
 
 
-def _report_margins(sys_data: SystemData, iqcs: IqcSet, cert) -> dict:
+def _report(kind: str, sys_data: SystemData, iqcs: IqcSet, cert,
+            options: dict) -> dict:
+    """The fields that ``radius`` and ``worst-case`` reports share."""
     rho_c = cert.rho_cert if cert.rho_cert is not None else cert.rho
-    return {"certificate": None if cert.P is None else
-            _certificate_margins(sys_data, iqcs, rho_c, cert.P, cert.lambdas)}
+    return {
+        "kind": kind,
+        "problem": {"n": sys_data.n, "m": sys_data.m,
+                    "iqc_count": len(iqcs)},
+        "options": options,
+        "rho": _num(cert.rho),
+        "bracket": [_num(cert.bracket[0]), _num(cert.bracket[1])],
+        "attained": bool(cert.attained),
+        "certificate": _certificate_json(cert),
+        "margins": {"certificate": None if cert.P is None else
+                    _certificate_margins(sys_data, iqcs, rho_c, cert.P,
+                                         cert.lambdas)},
+        "witness": None,
+    }
 
 
 def _witness_json(report: WitnessReport) -> dict:
@@ -425,26 +441,42 @@ def _witness_margins(wc) -> dict:
     }
 
 
-def _witness_from_json(blk: dict, iqcs: IqcSet) -> WitnessReport:
+def _witness_from_json(blk: dict, sys_data: SystemData,
+                       iqcs: IqcSet) -> WitnessReport:
+    """Parse a report's witness block.  ``d`` is the column count of
+    ``X``; every other array must have the shape that ``n``, ``m``, ``d``
+    and its group's column count ``k`` give."""
     for key in ("d", "Q", "X", "U", "F", "groups", "v", "gain",
                 "iqc_lower_bounds", "hard_shift", "pointwise", "growth",
                 "notes"):
         _require(key in blk, f"report witness: missing field '{key}'")
-    d = _as_count(blk["d"], "witness.d")
-    Q = _matrix_from_json(blk["Q"], "witness.Q")
+    n, m = sys_data.n, sys_data.m
     X = _matrix_from_json(blk["X"], "witness.X")
-    U = _matrix_from_json(blk["U"], "witness.U")
-    F = _matrix_from_json(blk["F"], "witness.F")
+    d = _as_count(blk["d"], "witness.d")
+    _require(d == X.shape[1],
+             f"witness.d: is {d}, but witness.X has {X.shape[1]} columns")
+    _require(X.shape[0] == n,
+             f"witness.X: expected {n} rows, got {X.shape[0]}")
+    Q = _matrix_from_json(blk["Q"], "witness.Q", (n + m, n + m))
+    U = _matrix_from_json(blk["U"], "witness.U", (m, d))
+    F = _matrix_from_json(blk["F"], "witness.F", (d, d))
     v = _vector_from_json(blk["v"], "witness.v")
+    _require(v.size == d, f"witness.v: expected {d} entries, got {v.size}")
     _require(isinstance(blk["groups"], list), "witness.groups: expected a list")
     groups = []
     for idx, g in enumerate(blk["groups"]):
         field = f"witness.groups[{idx}]"
         _require(isinstance(g, dict), f"{field}: expected an object")
-        for key in ("theta", "W_re", "W_im"):
+        for key in ("theta", "multiplicity", "W_re", "W_im"):
             _require(key in g, f"{field}: missing field '{key}'")
         W_re = _matrix_from_json(g["W_re"], f"{field}.W_re")
-        W_im = _matrix_from_json(g["W_im"], f"{field}.W_im")
+        k = W_re.shape[1]
+        _require(W_re.shape[0] == d,
+                 f"{field}.W_re: expected {d} rows, got {W_re.shape[0]}")
+        W_im = _matrix_from_json(g["W_im"], f"{field}.W_im", (d, k))
+        _require(_as_count(g["multiplicity"], f"{field}.multiplicity") == k,
+                 f"{field}.multiplicity: is {g['multiplicity']}, but "
+                 f"{field}.W_re has {k} columns")
         groups.append(EigenGroup(theta=_as_number(g["theta"], f"{field}.theta"),
                                  W=W_re + 1j * W_im))
     stacked = np.vstack([X, U])
@@ -452,16 +484,18 @@ def _witness_from_json(blk: dict, iqcs: IqcSet) -> WitnessReport:
     modes = WorstCaseModes(Q=Q, d=d, X=X, U=U, F=F, groups=tuple(groups),
                            H=H, v=v)
     gain = None if blk["gain"] is None \
-        else _matrix_from_json(blk["gain"], "witness.gain")
-    growth = _as_number(blk["growth"], "witness.growth")
+        else _matrix_from_json(blk["gain"], "witness.gain", (m, n))
+    _require(isinstance(blk["pointwise"], bool),
+             "witness.pointwise: expected true or false")
     _require(isinstance(blk["notes"], list), "witness.notes: expected a list")
     return WitnessReport(
-        modes=modes, trajectory=build_trajectory(modes, 1, growth), gain=gain,
+        modes=modes, gain=gain,
         iqc_lower_bounds=_vector_from_json(blk["iqc_lower_bounds"],
                                            "witness.iqc_lower_bounds"),
         hard_shift=None if blk["hard_shift"] is None
         else _as_count(blk["hard_shift"], "witness.hard_shift"),
-        pointwise=bool(blk["pointwise"]), growth=growth,
+        pointwise=blk["pointwise"],
+        growth=_as_number(blk["growth"], "witness.growth"),
         notes=tuple(blk["notes"]))
 
 
@@ -481,23 +515,11 @@ def cmd_radius(args) -> int:
     verdict = classify(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max,
                        strict_eps=strict_eps, witness_horizon=horizon)
     cert = verdict.certificate
-    report = {
-        "kind": "radius",
-        "problem": {"n": sys_data.n, "m": sys_data.m,
-                    "iqc_count": len(iqcs)},
-        "options": {"tol": float(tol), "rho_max": float(rho_max),
-                    "strict_eps": float(strict_eps)},
-        "rho": _num(cert.rho),
-        "bracket": [_num(cert.bracket[0]), _num(cert.bracket[1])],
-        "attained": bool(cert.attained),
-        "status": cert.status,
-        "message": cert.message,
-        "verdict": verdict.classification,
-        "reasons": list(verdict.reasons),
-        "certificate": _certificate_json(cert),
-        "margins": _report_margins(sys_data, iqcs, cert),
-        "witness": None,
-    }
+    report = _report("radius", sys_data, iqcs, cert,
+                     {"tol": tol, "rho_max": rho_max, "strict_eps": strict_eps})
+    report.update(status=cert.status, message=cert.message,
+                  verdict=verdict.classification,
+                  reasons=list(verdict.reasons))
     _write_out(args.out, report)
     if np.isfinite(cert.rho):
         print(f"rho = {cert.rho:.9g}")
@@ -530,29 +552,17 @@ def cmd_worst_case(args) -> int:
                                 strict_eps=strict_eps, radius_cert=cert)
         stage, reason = outcome.stage, outcome.reason
 
-    report = {
-        "kind": "worst-case",
-        "problem": {"n": sys_data.n, "m": sys_data.m,
-                    "iqc_count": len(iqcs)},
-        "options": {"tol": float(tol), "rho_max": float(rho_max),
-                    "strict_eps": float(strict_eps),
-                    "horizon": int(horizon)},
-        "rho": _num(cert.rho),
-        "bracket": [_num(cert.bracket[0]), _num(cert.bracket[1])],
-        "attained": bool(cert.attained),
-        "certificate": _certificate_json(cert),
-        "margins": _report_margins(sys_data, iqcs, cert),
-        "witness": None,
-        "stage": stage,
-        "reason": reason,
-    }
+    report = _report("worst-case", sys_data, iqcs, cert,
+                     {"tol": tol, "rho_max": rho_max, "strict_eps": strict_eps,
+                      "horizon": horizon})
+    report.update(stage=stage, reason=reason)
 
+    code = EXIT_NO_WITNESS
     if outcome is not None and outcome.ok:
         wc = check_witness(sys_data, outcome.report, iqcs)
         report["witness"] = _witness_json(outcome.report)
         report["margins"]["witness"] = _witness_margins(wc)
         report["margins"]["check_horizon"] = CHECK_HORIZON
-        _write_out(args.out, report)
         modes = outcome.report.modes
         print(f"witness found at rho = {cert.rho:.9g}")
         print(f"modes: d = {modes.d}, groups = {len(modes.groups)}, "
@@ -564,21 +574,17 @@ def cmd_worst_case(args) -> int:
             margin = float(np.min(wc.iqc_margins))
             print(f"constraint sum margin over {wc.steps} steps = "
                   f"{margin:.3e}")
-        if not wc.ok:
+        if wc.ok:
+            code = EXIT_OK
+        else:
             print("re-verification failed; see the report margins")
-            if args.out:
-                print(f"report written to {args.out}")
-            return EXIT_NO_WITNESS
-        if args.out:
-            print(f"report written to {args.out}")
-        return EXIT_OK
-
+    else:
+        print(f"no witness: stage = {stage}")
+        print(f"reason: {reason}")
     _write_out(args.out, report)
-    print(f"no witness: stage = {stage}")
-    print(f"reason: {reason}")
     if args.out:
         print(f"report written to {args.out}")
-    return EXIT_NO_WITNESS
+    return code
 
 
 def _load_report(path: str) -> dict:
@@ -588,14 +594,23 @@ def _load_report(path: str) -> dict:
     return doc
 
 
-def _close(recorded, recomputed) -> bool:
-    """Whether a recorded margin reproduces; a recorded non-number never does."""
-    if recorded is None or recomputed is None:
+def _reproduces(recorded, recomputed) -> bool:
+    """Whether a recorded margins block matches its recomputation: dicts
+    key by key, lists entry by entry, numbers within ``REPRODUCE_RTOL``.
+    A recorded value of another type or length never does."""
+    if isinstance(recomputed, dict):
+        return (isinstance(recorded, dict)
+                and recorded.keys() == recomputed.keys()
+                and all(_reproduces(recorded[k], x)
+                        for k, x in recomputed.items()))
+    if isinstance(recomputed, list):
+        return (isinstance(recorded, list)
+                and len(recorded) == len(recomputed)
+                and all(map(_reproduces, recorded, recomputed)))
+    if recomputed is None or not _is_number(recorded):
         return recorded is None and recomputed is None
-    if not _is_number(recorded):
-        return False
-    return abs(float(recorded) - float(recomputed)) \
-        <= REPRODUCE_RTOL * (1.0 + abs(float(recomputed)))
+    return abs(float(recorded) - recomputed) \
+        <= REPRODUCE_RTOL * (1.0 + abs(recomputed))
 
 
 def _fmt(recorded) -> str:
@@ -628,7 +643,7 @@ def cmd_verify(args) -> int:
     margins_blk = report.get("margins") or {}
     _require(isinstance(cert_blk, dict), "certificate: expected an object")
     _require(isinstance(margins_blk, dict), "margins: expected an object")
-    recorded_margins = margins_blk.get("certificate")
+    recorded = margins_blk.get("certificate")
     if cert_blk.get("P") is not None:
         P = _matrix_from_json(cert_blk["P"], "report certificate.P")
         lambdas = (np.zeros(len(iqcs)) if cert_blk.get("lambdas") is None
@@ -642,14 +657,12 @@ def cmd_verify(args) -> int:
                  else _as_number(report.get("rho"), "rho"))
         margins = _certificate_margins(sys_data, iqcs, rho_c, P, lambdas)
         eig, pmin = margins["certificate_eig"], margins["p_min_eig"]
-        _require(recorded_margins is not None,
+        _require(recorded is not None,
                  "report: certificate present but no recorded margins")
-        _require(isinstance(recorded_margins, dict),
+        _require(isinstance(recorded, dict),
                  "margins.certificate: expected an object")
-        item("lyapunov-margin-reproduces",
-             _close(recorded_margins.get("certificate_eig"), eig)
-             and _close(recorded_margins.get("p_min_eig"), pmin),
-             f"recorded eig {_fmt(recorded_margins.get('certificate_eig'))}, "
+        item("lyapunov-margin-reproduces", _reproduces(recorded, margins),
+             f"recorded eig {_fmt(recorded.get('certificate_eig'))}, "
              f"recomputed {eig:.6e}")
         scale = sys_data.scale() + iqcs.scale()
         item("lyapunov-certificate",
@@ -662,7 +675,8 @@ def cmd_verify(args) -> int:
 
     wit_blk = report.get("witness")
     if wit_blk is not None:
-        wrep = _witness_from_json(wit_blk, iqcs)
+        _require(isinstance(wit_blk, dict), "witness: expected an object")
+        wrep = _witness_from_json(wit_blk, sys_data, iqcs)
         recorded = margins_blk.get("witness")
         _require(recorded is not None,
                  "report: witness present but no recorded margins")
@@ -671,24 +685,17 @@ def cmd_verify(args) -> int:
         horizon = max(_as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
                                 "margins.check_horizon"), CHECK_HORIZON)
         wc = check_witness(sys_data, wrep, iqcs, horizon=horizon)
-        rec_iqc = recorded.get("iqc_margins", [])
-        iqc_repro = (len(rec_iqc) == wc.iqc_margins.size
-                     and all(_close(a, b) for a, b
-                             in zip(rec_iqc, wc.iqc_margins)))
         item("witness-margins-reproduce",
-             _close(recorded.get("dynamics_residual"), wc.dynamics_residual)
-             and _close(recorded.get("norm_drift"), wc.norm_drift)
-             and _close(recorded.get("direction_norm"), wc.direction_norm)
-             and _close(recorded.get("gain_residual"),
-                        _num(wc.gain_residual))
-             and iqc_repro,
+             _reproduces(recorded, _witness_margins(wc)),
              f"dynamics {wc.dynamics_residual:.3e}, "
-             f"drift {wc.norm_drift:.3e}, |Xv| {wc.direction_norm:.6g}")
+             f"drift {wc.norm_drift:.3e}, |Xv| {wc.direction_norm:.6g}, "
+             f"steps {wc.steps}")
         item("witness-checks", wc.ok,
              f"dynamics ok {wc.dynamics_ok}, sums ok {wc.iqc_ok}, "
              f"norm ok {wc.norm_ok}, direction ok {wc.direction_ok}, "
              f"gain ok {wc.gain_ok}")
-        defect = verify_direction(wrep.modes, wrep.modes.v)
+        modes = wrep.modes
+        defect = verify_groups(modes) or verify_direction(modes, modes.v)
         item("technical-condition", defect == "",
              defect if defect else "group-projected forms nonnegative")
 

@@ -81,6 +81,10 @@ _LADDER_REL = (1e-3, 1e-2, 0.1, 1.0)  # then relative offsets
 # Relative move of a reach, away from the radius, when rounding fails the
 # re-check at the reach itself.
 _NUDGE = 1e-12
+# Largest accepted rho_max.  Programs carry rho^2 and the engine squares
+# their coefficients (``sdp_engine._block_norms``), so rho^4 must stay well
+# inside the float range; from rho_max = 1e80 those products overflow.
+RHO_MAX_LIMIT = 1e50
 
 
 @dataclass
@@ -385,8 +389,10 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    if not all(0 < x < np.inf for x in (bisect_tol, rho_max, strict_eps)):
-        raise ValueError("bisect_tol, rho_max and strict_eps must be finite, > 0")
+    if not (all(0 < x < np.inf for x in (bisect_tol, strict_eps))
+            and 0 < rho_max <= RHO_MAX_LIMIT):
+        raise ValueError("bisect_tol and strict_eps must be finite, > 0, "
+                         f"and rho_max in (0, {RHO_MAX_LIMIT:g}]")
     strict = strict_eps * (sys.scale() + iqcs.scale())
     search = _Search(sys, iqcs, strict, solver)
 

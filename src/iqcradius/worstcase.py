@@ -55,6 +55,7 @@ __all__ = [
     "recover_orthogonal_factor",
     "technical_condition",
     "verify_direction",
+    "verify_groups",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -69,6 +70,9 @@ _PAIRING_TOL = 1e-6
 RANK_TOL = 1e-7
 # Angles of the orthogonal factor closer than this form one eigen-group.
 ANGLE_TOL = 1e-6
+# Allowed distance from orthogonality of F and from unitarity of the
+# stacked eigen-group bases.
+UNITARY_TOL = 1e-6
 # Horizons scanned for the hard-constraint shift.
 SHIFT_WINDOW = 10_000
 # Partial sums within SHIFT_RTOL * scale * sum_k |z_k|^2 of their minimum
@@ -151,10 +155,13 @@ class TechnicalConditionResult:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Fully assembled witness: modes, orbit and derived quantities."""
+    """What a report's witness block records: the modes with their
+    direction ``v``, and the quantities derived from them.  The orbit is
+    not part of it; ``WitnessOutcome.trajectory`` carries the one that
+    ``build_witness`` assembled, and ``verify.check_witness`` regenerates
+    its own from the modes."""
 
     modes: WorstCaseModes
-    trajectory: Trajectory
     gain: np.ndarray | None
     iqc_lower_bounds: np.ndarray
     hard_shift: int | None
@@ -379,7 +386,7 @@ def eigen_group(F: np.ndarray) -> list[EigenGroup]:
     d = F.shape[0]
     if d == 0:
         return []
-    if float(np.linalg.norm(F.T @ F - np.eye(d), 2)) > 1e-6:
+    if float(np.linalg.norm(F.T @ F - np.eye(d), 2)) > UNITARY_TOL:
         raise ValueError("transition factor is not orthogonal")
     w, V = np.linalg.eig(F)
     V = V.astype(complex)
@@ -438,10 +445,46 @@ def eigen_group(F: np.ndarray) -> list[EigenGroup]:
         groups.append(EigenGroup(theta=theta, W=W))
 
     basis = np.hstack([g.W for g in groups])
-    if float(np.linalg.norm(basis.conj().T @ basis - np.eye(d), 2)) > 1e-6:
+    if float(np.linalg.norm(basis.conj().T @ basis - np.eye(d), 2)) > UNITARY_TOL:
         raise ValueError("eigenvector groups failed to form a unitary basis")
     groups.sort(key=lambda g: g.theta)
     return groups
+
+
+def verify_groups(modes: WorstCaseModes) -> str:
+    """Re-check recorded eigen-groups against the transition factor F.
+
+    Returns an empty string when the group bases together form an
+    orthonormal basis of C^d within ``UNITARY_TOL``; each group spans an
+    eigenspace of ``F`` at its angle, with ``F W - e^{i theta} W`` at
+    most ``multiplicity * ANGLE_TOL`` (an ``eigen_group`` cluster chains
+    angles ``ANGLE_TOL`` apart, and its angle may snap to 0 or pi); and
+    the angles lie more than ``ANGLE_TOL`` apart on the circle.  Both
+    residuals are Frobenius norms, never below the 2-norms that
+    ``eigen_group`` bounds.  Otherwise returns a description of the
+    defect.  Used to re-verify recorded witnesses; a non-orthogonal
+    ``F`` fails here rather than raising.
+    """
+    d, groups = modes.d, modes.groups
+    basis = np.hstack([g.W for g in groups] + [np.zeros((d, 0))])
+    if basis.shape[1] != d or \
+            not np.linalg.norm(basis.conj().T @ basis - np.eye(d)) <= UNITARY_TOL:
+        return "eigen-group bases do not form an orthonormal basis of C^d"
+    thetas = [g.theta for g in groups]
+    ks = [g.multiplicity for g in groups]
+    resid = modes.F @ basis - basis * np.repeat(np.exp(1j * np.array(thetas)), ks)
+    col = 0
+    for j, (theta, k) in enumerate(zip(thetas, ks)):
+        r = float(np.linalg.norm(resid[:, col:col + k]))
+        col += k
+        if not r <= ANGLE_TOL * k:
+            return (f"group {j} is not an eigenspace of F at angle "
+                    f"{theta:.9g} (residual {r:.3e})")
+    angles = sorted(theta % _TWO_PI for theta in thetas)
+    wrapped = [a + _TWO_PI for a in angles[:1]]
+    if any(b - a <= ANGLE_TOL for a, b in zip(angles, angles[1:] + wrapped)):
+        return "two eigen-groups share an angle"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +823,10 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                     "growth weighting")
 
     if radius_cert is None:
-        from .radius import spectral_radius
+        from .radius import RHO_MAX_LIMIT, spectral_radius
         radius_cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol,
-                                      rho_max=max(1e3, 2.0 * rho),
+                                      rho_max=min(max(1e3, 2.0 * rho),
+                                                  RHO_MAX_LIMIT),
                                       strict_eps=strict_eps, solver=solver)
     found = radius_cert.rho
     if not np.isfinite(found) or \
@@ -858,7 +902,7 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                          "keep decreasing through the scan window")
     pointwise = pointwise_check(modes)
 
-    report = WitnessReport(modes=modes, trajectory=traj, gain=gain,
+    report = WitnessReport(modes=modes, gain=gain,
                            iqc_lower_bounds=bounds, hard_shift=shift,
                            pointwise=pointwise, growth=growth,
                            notes=tuple(notes))

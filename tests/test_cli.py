@@ -39,6 +39,11 @@ STABLE = {"dims": {"n": 1, "m": 0}, "A": mat([[0.5]])}
 SIGNED_PAIR = {"dims": {"n": 1, "m": 0}, "A": mat([[1.0]]),
                "iqcs": [mat([[1.0]]), mat([[-1.0]])]}
 UNBOUNDED = {"dims": {"n": 1, "m": 1}, "A": mat([[0.5]]), "B": mat([[1.0]])}
+ROTATION_IQC = {"dims": {"n": 2, "m": 0},
+                "A": mat([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]),
+                "iqcs": [mat([[1.0, 0.0], [0.0, 0.0]])]}
+GD = {"dims": {"n": 1, "m": 1}, "A": mat([[1.0]]), "B": mat([[-0.1]]),
+      "iqcs": [mat([[-10.0, 5.5], [5.5, -1.0]])]}
 
 DELAY_FILTER = {
     "plant": {"A": mat([[0.7]]), "B": mat([[1.3]]), "C": mat([[-0.4]]),
@@ -149,6 +154,11 @@ def test_option_precedence(tmp_path, monkeypatch):
     ("worst-case", ROTATION, ["--horizon", "0"], {}, "--horizon"),
     ("worst-case", ROTATION, [], {"IQCRADIUS_HORIZON": "0"},
      "environment IQCRADIUS_HORIZON"),
+    ("radius", UNBOUNDED, ["--rho-max", "1e80"], {}, "--rho-max"),
+    ("radius", dict(UNBOUNDED, options={"rho_max": 1e160}), [], {},
+     "options.rho_max"),
+    ("radius", UNBOUNDED, [], {"IQCRADIUS_RHO_MAX": "1e100"},
+     "environment IQCRADIUS_RHO_MAX"),
 ])
 def test_bad_option_is_an_input_error_naming_its_source(
         tmp_path, monkeypatch, command, doc, flags, env, source):
@@ -262,6 +272,25 @@ def test_verify_does_not_trust_a_shortened_horizon(tmp_path):
     assert "FAIL witness-checks" in out
 
 
+def _grown(m, rows=0, cols=0):
+    """A report matrix with extra zero rows and columns."""
+    a = np.pad(np.array(m["data"]).reshape(m["rows"], m["cols"]),
+               ((0, rows), (0, cols)))
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel().tolist()}
+
+
+def _set(*path, value=None, grow=None):
+    """A corruption that replaces the witness field at ``path`` (keys and
+    indices) with ``value``, or with the matrix there grown by ``grow``."""
+    def corrupt(doc):
+        parent = doc["witness"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = (_grown(parent[path[-1]], *grow) if grow
+                            else value)
+    return corrupt
+
+
 def _null_certificate_eig(doc):
     doc["margins"]["certificate"]["certificate_eig"] = None
 
@@ -291,6 +320,14 @@ def _list_as_certificate_margins(doc):
     doc["margins"]["certificate"] = [1]
 
 
+def _number_as_witness(doc):
+    doc["witness"] = 1
+
+
+def _integer_beyond_float_margin(doc):
+    doc["margins"]["certificate"]["certificate_eig"] = 10 ** 400
+
+
 @pytest.mark.parametrize("corrupt, code, expected", [
     (_null_certificate_eig, 4, "FAIL lyapunov-margin-reproduces"),
     (_group_without_real_part, 1, "error: witness.groups[0]: missing field 'W_re'"),
@@ -299,6 +336,28 @@ def _list_as_certificate_margins(doc):
     (_word_check_horizon, 1, "error: margins.check_horizon: expected an integer"),
     (_null_rates, 1, "error: rho: expected a number"),
     (_list_as_certificate_margins, 1, "error: margins.certificate: expected an object"),
+    (_set("X", grow=(1, 0)), 1, "error: witness.X: expected 2 rows, got 3"),
+    (_set("X", grow=(0, 1)), 1, "error: witness.d: is 2, but witness.X has 3 columns"),
+    (_set("U", grow=(1, 0)), 1, "error: witness.U: expected 0x2, got 1x2"),
+    (_set("F", grow=(0, 1)), 1, "error: witness.F: expected 2x2, got 2x3"),
+    (_set("F", grow=(1, 0)), 1, "error: witness.F: expected 2x2, got 3x2"),
+    (_set("d", value=1), 1, "error: witness.d: is 1, but witness.X has 2 columns"),
+    (_set("d", value=3), 1, "error: witness.d: is 3, but witness.X has 2 columns"),
+    (_set("v", value=[1.0, 0.0, 0.0]), 1, "error: witness.v: expected 2 entries, got 3"),
+    (_set("v", value=[]), 1, "error: witness.v: expected 2 entries, got 0"),
+    (_set("groups", 0, "W_re", grow=(1, 0)), 1,
+     "error: witness.groups[0].W_re: expected 2 rows, got 3"),
+    (_set("groups", 0, "W_im", grow=(0, 1)), 1,
+     "error: witness.groups[0].W_im: expected 2x1, got 2x2"),
+    (_set("groups", 0, "multiplicity", value=5), 1,
+     "error: witness.groups[0].multiplicity: is 5, but "
+     "witness.groups[0].W_re has 1 columns"),
+    (_set("Q", grow=(1, 1)), 1, "error: witness.Q: expected 2x2, got 3x3"),
+    (_set("gain", value=mat([[0.0, 0.0]])), 1,
+     "error: witness.gain: expected 0x2, got 1x2"),
+    (_set("pointwise", value="yes"), 1, "error: witness.pointwise: expected true or false"),
+    (_number_as_witness, 1, "error: witness: expected an object"),
+    (_integer_beyond_float_margin, 4, "FAIL lyapunov-margin-reproduces"),
 ])
 def test_verify_malformed_report(tmp_path, corrupt, code, expected):
     problem = write(tmp_path, "p.json", ROTATION)
@@ -311,6 +370,125 @@ def test_verify_malformed_report(tmp_path, corrupt, code, expected):
     assert got == code
     assert expected in out
     assert "Traceback" not in out
+
+
+@pytest.fixture(scope="module")
+def rotation_iqc_report(tmp_path_factory):
+    """A rotation-with-IQC problem file and its worst-case report."""
+    workdir = tmp_path_factory.mktemp("rotation-iqc")
+    problem = write(workdir, "p.json", ROTATION_IQC)
+    report = workdir / "report.json"
+    assert run("worst-case", problem, "--out", str(report))[0] == 0
+    return problem, json.loads(report.read_text())
+
+
+def verify_doc(tmp_path, doc, problem):
+    path = write(tmp_path, "edited.json", doc)
+    return run("verify", path, problem)
+
+
+def _witness_corruptions(witness):
+    """(path, value) pairs that malform each field of a witness block and
+    of its first group: wrong types, extra rows and columns of matrices,
+    one entry more or fewer in lists of numbers or groups."""
+    fields = [((key,), value) for key, value in witness.items()]
+    fields += [(("groups", 0, key), value)
+               for key, value in witness["groups"][0].items()]
+    for path, value in fields:
+        for bad in ("x", {}, -1):
+            yield path, bad
+        if isinstance(value, dict):
+            yield path, _grown(value, 1, 0)
+            yield path, _grown(value, 0, 1)
+        elif path[-1] in ("v", "iqc_lower_bounds", "groups"):
+            yield path, value + value[:1]
+            yield path, value[:-1]
+
+
+def test_verify_witness_field_sweep_never_crashes(tmp_path, rotation_iqc_report):
+    """Every malformed witness field is an input error (1) or a failed
+    check (4), never a crash or a pass."""
+    problem, report = rotation_iqc_report
+    cases = list(_witness_corruptions(report["witness"]))
+    assert len(cases) > 50
+    for path, bad in cases:
+        doc = json.loads(json.dumps(report))
+        _set(*path, value=bad)(doc)
+        code, out = verify_doc(tmp_path, doc, problem)
+        assert code in (1, 4), (path, bad, out)
+        assert "Traceback" not in out
+
+
+def _one_identity_group(doc):
+    doc["witness"]["groups"] = [{"theta": 0.0, "multiplicity": 2,
+                                 "W_re": mat(np.eye(2)),
+                                 "W_im": mat(np.zeros((2, 2)))}]
+
+
+def _one_column_group(doc):
+    doc["witness"]["groups"] = doc["witness"]["groups"][:1]
+
+
+def _no_groups(doc):
+    doc["witness"]["groups"] = []
+
+
+def _halved_transition(doc):
+    doc["witness"]["F"]["data"] = [0.5 * x for x in doc["witness"]["F"]["data"]]
+
+
+@pytest.mark.parametrize("corrupt", [_one_identity_group, _one_column_group,
+                                     _no_groups, _halved_transition])
+def test_verify_does_not_trust_recorded_groups(tmp_path, rotation_iqc_report,
+                                               corrupt):
+    problem, report = rotation_iqc_report
+    doc = json.loads(json.dumps(report))
+    corrupt(doc)
+    code, out = verify_doc(tmp_path, doc, problem)
+    assert code == 4
+    assert "FAIL technical-condition" in out
+
+
+def _numeric_leaves(block, path=()):
+    """Paths to the numbers in a margins block."""
+    if isinstance(block, dict):
+        for key, value in block.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(block, list):
+        for idx, value in enumerate(block):
+            yield from _numeric_leaves(value, path + (idx,))
+    elif isinstance(block, (int, float)) and not isinstance(block, bool):
+        yield path
+
+
+@pytest.mark.parametrize("command, problem_doc", [("worst-case", ROTATION_IQC),
+                                                  ("radius", GD)])
+def test_verify_rechecks_every_recorded_margin(tmp_path, command, problem_doc):
+    """Each recorded margin, moved by a thousand times the reproduce
+    tolerance (``steps`` by one), fails its reproduce item."""
+    problem = write(tmp_path, "p.json", problem_doc)
+    report_path = tmp_path / "report.json"
+    assert run(command, problem, "--out", str(report_path))[0] == 0
+    report = json.loads(report_path.read_text())
+    items = {"certificate": "FAIL lyapunov-margin-reproduces",
+             "witness": "FAIL witness-margins-reproduce"}
+    moved = 0
+    for block, expected in items.items():
+        if report["margins"].get(block) is None:
+            continue
+        for path in _numeric_leaves(report["margins"][block]):
+            doc = json.loads(json.dumps(report))
+            parent = doc["margins"][block]
+            for key in path[:-1]:
+                parent = parent[key]
+            x = parent[path[-1]]
+            parent[path[-1]] = (x + 1 if path[-1] == "steps"
+                                else x + 1e-6 * (1.0 + abs(x)))
+            code, out = verify_doc(tmp_path, doc, problem)
+            assert code == 4, (block, path, out)
+            assert expected in out, (block, path, out)
+            moved += 1
+    assert moved == (8 if command == "worst-case" else 2)
 
 
 def test_verify_dimension_mismatch(tmp_path):

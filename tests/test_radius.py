@@ -190,7 +190,7 @@ def test_spectral_radius_rejects_bad_options():
     with pytest.raises(ValueError):
         spectral_radius(sys, IqcSet.empty(1), rho_max=-1.0)
     for bad in ({"bisect_tol": np.nan}, {"strict_eps": np.nan},
-                {"rho_max": np.inf}):
+                {"rho_max": np.inf}, {"rho_max": 1e80}):
         with pytest.raises(ValueError):
             spectral_radius(sys, IqcSet.empty(1), **bad)
 

@@ -27,7 +27,6 @@ from iqcradius.verify import (
 from iqcradius.worstcase import (
     WitnessReport,
     WorstCaseModes,
-    build_trajectory,
     build_witness,
     eigen_group,
     mode_orbit,
@@ -61,8 +60,7 @@ def flip_witness():
         X=np.array([[1.0, 0.0]]) / np.sqrt(2.0),
         U=np.array([[0.0, 1.0]]) / np.sqrt(2.0),
         F=F, groups=tuple(eigen_group(F)), H=(), v=np.array([1.0, 0.0]))
-    report = WitnessReport(modes=modes, trajectory=build_trajectory(modes, 40),
-                           gain=None, iqc_lower_bounds=np.zeros(0),
+    report = WitnessReport(modes=modes, gain=None, iqc_lower_bounds=np.zeros(0),
                            hard_shift=None, pointwise=False, growth=1.0,
                            notes=())
     return SystemData(A=[[0.0]], B=[[1.0]]), report
@@ -152,8 +150,7 @@ def test_check_witness_direction_corruption_fails():
     sys, report = flip_witness()
     assert check_witness(sys, report, IqcSet.empty(2)).ok
     bad_modes = replace(report.modes, v=np.array([0.0, 1.0]))
-    bad = replace(report, modes=bad_modes,
-                  trajectory=build_trajectory(bad_modes, 40))
+    bad = replace(report, modes=bad_modes)
     result = check_witness(sys, bad, IqcSet.empty(2))
     assert not result.ok
     assert not result.direction_ok

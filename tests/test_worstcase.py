@@ -288,7 +288,7 @@ def test_trajectory_constant_mode():
 
 def test_trajectory_isometry(rotation_witness):
     _, outcome = rotation_witness
-    norms = np.linalg.norm(outcome.report.trajectory.states, axis=1)
+    norms = np.linalg.norm(outcome.trajectory.states, axis=1)
     assert norms.max() - norms.min() <= 1e-12
     assert norms[0] > 0
 
@@ -297,7 +297,7 @@ def test_trajectory_norm_bound(constrained_witnesses):
     for _, _, outcome in constrained_witnesses:
         modes = outcome.modes
         bound = np.linalg.norm(modes.X, 2) * np.linalg.norm(modes.v)
-        norms = np.linalg.norm(outcome.report.trajectory.states, axis=1)
+        norms = np.linalg.norm(outcome.trajectory.states, axis=1)
         assert norms.max() <= bound + 1e-9
 
 
@@ -419,7 +419,7 @@ def test_witness_modes_invariants(rotation_witness, constrained_witnesses,
 
 def test_witness_trajectory_soundness(constrained_witnesses):
     for sys, iqcs, outcome in constrained_witnesses:
-        traj = outcome.report.trajectory
+        traj = outcome.trajectory
         states = traj.states
         for k in range(len(traj) - 1):
             step = states[k + 1] - sys.A @ states[k]
@@ -449,7 +449,7 @@ def test_growth_mode_above_one():
     sys = SystemData(A=1.5 * rotation(np.pi / 3))
     outcome = build_witness(sys, IqcSet.empty(2), rho=1.5)
     assert outcome.ok, outcome.reason
-    norms = np.linalg.norm(outcome.report.trajectory.states, axis=1)
+    norms = np.linalg.norm(outcome.trajectory.states, axis=1)
     assert norms[-1] > 10 * norms[0]
 
 
@@ -458,7 +458,7 @@ def test_growth_orbit_overflow_stops_at_trajectory_assembly():
     sys = SystemData(A=[[2.0]])
     outcome = build_witness(sys, rho=2.0, horizon=2000)
     assert outcome.ok, outcome.reason
-    assert len(outcome.report.trajectory) == 432     # floor(300 / ln 2)
+    assert len(outcome.trajectory) == 432     # floor(300 / ln 2)
     assert "horizon shortened to 432 steps" in outcome.report.notes[0]
     result = check_witness(sys, outcome.report, IqcSet.empty(1))
     assert result.ok
@@ -471,6 +471,15 @@ def test_growth_orbit_overflow_warns_nothing():
         warnings.simplefilter("error")
         outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0, horizon=2000)
     assert outcome.ok
+
+
+def test_huge_radius_keeps_its_own_search_within_the_rho_max_limit():
+    """Searching up to 2 * rho would exceed the rho_max limit; the search
+    stops at the limit and the precheck reports the mismatch."""
+    outcome = build_witness(SystemData(A=[[2.0]]), rho=1e60)
+    assert not outcome.ok
+    assert outcome.stage == "radius-precheck"
+    assert "does not match" in outcome.reason
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
@@ -501,8 +510,8 @@ def test_growth_orbit_with_finite_states_beyond_norm_range_is_kept():
     sys = SystemData(A=5.0 * rotation(np.pi / 3))
     outcome = build_witness(sys, IqcSet.empty(2), rho=5.0)
     assert outcome.ok, outcome.reason
-    states = outcome.report.trajectory.states
-    assert len(outcome.report.trajectory) == 186     # floor(300 / ln 5)
+    states = outcome.trajectory.states
+    assert len(outcome.trajectory) == 186     # floor(300 / ln 5)
     assert np.isfinite(states).all()
     assert np.isfinite(np.einsum("ki,ki->k", states, states)).all()
     assert check_witness(sys, outcome.report, IqcSet.empty(2)).ok
