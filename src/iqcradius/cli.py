@@ -23,7 +23,12 @@ and imaginary parts so reports round-trip exactly.
 
 ``verify`` recomputes each recorded margins block with the functions
 that wrote it (``_certificate_margins``, ``_witness_margins``) and
-compares them entry by entry, ``steps`` included.  It rejects a witness
+compares them entry by entry, ``steps`` included; a non-finite
+recomputed number never matches.  The certificate must pass the test
+that admitted it in the search (``model.certificate_defect``, bound
+-0.5 ``radius.STRICT_EPS`` scale) at ``rho_cert``, a finite positive
+rate (exit 1 otherwise) that must be the bracket's upper end, with
+``rho`` inside the bracket.  It rejects a witness
 block whose arrays do not have the shapes that ``n``, ``m`` and the
 columns ``d`` of ``X`` give (exit 1), and it re-checks the recorded
 eigen-groups against ``F`` (``worstcase.verify_groups``) before the
@@ -40,12 +45,12 @@ Exit codes:
 * 4 -- ``verify``: a recorded margin failed to reproduce or a check
   failed.
 
-The environment variables ``IQCRADIUS_TOL``, ``IQCRADIUS_RHO_MAX``,
-``IQCRADIUS_STRICT_EPS`` and ``IQCRADIUS_HORIZON`` override the
-built-in defaults; a problem file's ``options`` block overrides the
-environment, and command-line flags override everything.  A bad value
-from any of them (see ``_check_option``) is an input error, and so is a
-``rho_max`` above ``radius.RHO_MAX_LIMIT`` = 1e50.
+The environment variables ``IQCRADIUS_TOL``, ``IQCRADIUS_RHO_MAX`` and
+``IQCRADIUS_HORIZON`` override the built-in defaults; a problem file's
+``options`` block overrides the environment, and command-line flags
+override everything.  A bad value from any of them (see
+``_check_option``) is an input error, and so is a ``rho_max`` above
+``radius.RHO_MAX_LIMIT`` = 1e50.
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ from pathlib import Path
 import numpy as np
 
 from .dynamic_iqc import IqcFilter, PlantData, augment_all
-from .model import DimensionMismatchError, IqcSet, SystemData, margin_matrix
-from .radius import RHO_MAX_LIMIT, classify, spectral_radius
+from .model import (DimensionMismatchError, IqcSet, SystemData,
+                    certificate_defect, margin_matrix)
+from .radius import RHO_MAX_LIMIT, STRICT_EPS, classify, spectral_radius
 from .verify import CHECK_HORIZON, check_witness
 from .worstcase import (
     EigenGroup,
@@ -83,13 +89,12 @@ EXIT_VERIFY_FAILED = 4
 
 DEFAULT_TOL = 1e-6
 DEFAULT_RHO_MAX = 1e3
-DEFAULT_STRICT_EPS = 1e-8
 DEFAULT_HORIZON = 300
 # Agreement required between recorded and recomputed margins.
 REPRODUCE_RTOL = 1e-9
 
 _OPTION_DEFAULTS = {"horizon": DEFAULT_HORIZON, "rho_max": DEFAULT_RHO_MAX,
-                    "strict_eps": DEFAULT_STRICT_EPS, "tol": DEFAULT_TOL}
+                    "tol": DEFAULT_TOL}
 _OPTION_KEYS = tuple(_OPTION_DEFAULTS)
 _FILTER_KEYS = ("A_psi", "B_psi1", "B_psi2", "C_psi", "D_psi1", "D_psi2", "M")
 
@@ -379,7 +384,7 @@ def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, rho_c: float,
     lambdas = (np.zeros(len(iqcs)) if lambdas is None
                else np.asarray(lambdas, dtype=float).reshape(-1))
     W = margin_matrix(sys_data, iqcs, rho_c, P, lambdas)
-    eig = float(np.linalg.eigvalsh(W)[-1]) if W.shape[0] else 0.0
+    eig = float(np.linalg.eigvalsh(W)[-1])
     pmin = float(np.linalg.eigvalsh(np.asarray(P))[0])
     return {"certificate_eig": eig, "p_min_eig": pmin}
 
@@ -511,12 +516,12 @@ def _write_out(out_path: str | None, doc: dict) -> None:
 def cmd_radius(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
-    horizon, rho_max, strict_eps, tol = _resolve(args, prob.options)
+    horizon, rho_max, tol = _resolve(args, prob.options)
     verdict = classify(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max,
-                       strict_eps=strict_eps, witness_horizon=horizon)
+                       witness_horizon=horizon)
     cert = verdict.certificate
     report = _report("radius", sys_data, iqcs, cert,
-                     {"tol": tol, "rho_max": rho_max, "strict_eps": strict_eps})
+                     {"tol": tol, "rho_max": rho_max})
     report.update(status=cert.status, message=cert.message,
                   verdict=verdict.classification,
                   reasons=list(verdict.reasons))
@@ -539,9 +544,8 @@ def cmd_radius(args) -> int:
 def cmd_worst_case(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
-    horizon, rho_max, strict_eps, tol = _resolve(args, prob.options)
-    cert = spectral_radius(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max,
-                           strict_eps=strict_eps)
+    horizon, rho_max, tol = _resolve(args, prob.options)
+    cert = spectral_radius(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max)
     if not np.isfinite(cert.rho):
         stage, reason = "radius-precheck", \
             f"no certified feasible rate up to rho_max = {rho_max:g}"
@@ -549,12 +553,11 @@ def cmd_worst_case(args) -> int:
     else:
         outcome = build_witness(sys_data, iqcs, rho=cert.rho,
                                 horizon=horizon, bisect_tol=tol,
-                                strict_eps=strict_eps, radius_cert=cert)
+                                radius_cert=cert)
         stage, reason = outcome.stage, outcome.reason
 
     report = _report("worst-case", sys_data, iqcs, cert,
-                     {"tol": tol, "rho_max": rho_max, "strict_eps": strict_eps,
-                      "horizon": horizon})
+                     {"tol": tol, "rho_max": rho_max, "horizon": horizon})
     report.update(stage=stage, reason=reason)
 
     code = EXIT_NO_WITNESS
@@ -597,7 +600,8 @@ def _load_report(path: str) -> dict:
 def _reproduces(recorded, recomputed) -> bool:
     """Whether a recorded margins block matches its recomputation: dicts
     key by key, lists entry by entry, numbers within ``REPRODUCE_RTOL``.
-    A recorded value of another type or length never does."""
+    A recorded value of another type or length never does, and neither
+    does any value against a non-finite recomputed number."""
     if isinstance(recomputed, dict):
         return (isinstance(recorded, dict)
                 and recorded.keys() == recomputed.keys()
@@ -609,6 +613,8 @@ def _reproduces(recorded, recomputed) -> bool:
                 and all(map(_reproduces, recorded, recomputed)))
     if recomputed is None or not _is_number(recorded):
         return recorded is None and recomputed is None
+    if not np.isfinite(recomputed):
+        return False
     return abs(float(recorded) - recomputed) \
         <= REPRODUCE_RTOL * (1.0 + abs(recomputed))
 
@@ -652,10 +658,20 @@ def cmd_verify(args) -> int:
         _require(lambdas.size == len(iqcs),
                  f"report certificate.lambdas: expected {len(iqcs)} "
                  f"entries, got {lambdas.size}")
-        rho_c = (_as_number(cert_blk["rho_cert"], "certificate.rho_cert")
-                 if cert_blk.get("rho_cert") is not None
-                 else _as_number(report.get("rho"), "rho"))
-        margins = _certificate_margins(sys_data, iqcs, rho_c, P, lambdas)
+        rho = _as_number(report.get("rho"), "rho")
+        field = "rho" if cert_blk.get("rho_cert") is None \
+            else "certificate.rho_cert"
+        rho_c = rho if field == "rho" else _as_number(cert_blk["rho_cert"], field)
+        _require(0 < rho_c < np.inf,
+                 f"{field}: expected a finite positive rate, got {rho_c!r}")
+        bracket = report.get("bracket")
+        _require(isinstance(bracket, list) and len(bracket) == 2,
+                 "bracket: expected a list of two numbers")
+        lo, hi = (_as_number(x, f"bracket[{i}]") for i, x in enumerate(bracket))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A huge rate overflows to a non-finite margin, which fails
+            # both checks below.
+            margins = _certificate_margins(sys_data, iqcs, rho_c, P, lambdas)
         eig, pmin = margins["certificate_eig"], margins["p_min_eig"]
         _require(recorded is not None,
                  "report: certificate present but no recorded margins")
@@ -664,11 +680,14 @@ def cmd_verify(args) -> int:
         item("lyapunov-margin-reproduces", _reproduces(recorded, margins),
              f"recorded eig {_fmt(recorded.get('certificate_eig'))}, "
              f"recomputed {eig:.6e}")
-        scale = sys_data.scale() + iqcs.scale()
-        item("lyapunov-certificate",
-             eig <= 1e-6 * scale and pmin >= 1.0 - 1e-6,
-             f"inequality eig {eig:.3e} (tol {1e-6 * scale:.1e}), "
-             f"min eig of P {pmin:.9g}")
+        bound = -0.5 * STRICT_EPS * (sys_data.scale() + iqcs.scale())
+        defect = certificate_defect(P, lambdas, eig, bound)
+        item("lyapunov-certificate", not defect,
+             f"inequality eig {eig:.3e} (bound {bound:.1e}), "
+             f"min eig of P {pmin:.9g}" + (f"; {defect}" if defect else ""))
+        item("headline-bracket", hi == rho_c and lo <= rho <= hi,
+             f"rho {rho:.9g} in [{lo:.9g}, {hi:.9g}], upper end at the "
+             f"certificate rate {rho_c:.9g}")
     else:
         print("note: report carries no certificate matrix; "
               "nothing to re-check there")
@@ -745,8 +764,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="radius bracketing tolerance")
     p.add_argument("--rho-max", dest="rho_max", type=float, default=None,
                    help="largest rate searched for a certificate")
-    p.add_argument("--strict-eps", dest="strict_eps", type=float,
-                   default=None, help="strict-feasibility threshold")
     p.add_argument("--out", default=None, help="write the report here")
     p.set_defaults(func=cmd_radius)
 

@@ -12,7 +12,8 @@ operator
 and its adjoint ``L*(Q) = [A B] Q [A B]' - [I 0] Q [I 0]'`` with respect
 to the trace inner product, and the rate-rho inequality matrix
 ``L_rho(P) + sum_i lambda_i M_i`` that every certificate is checked
-against (``margin_matrix``).  Everything downstream (feasibility margins,
+against (``margin_matrix``), with the one test a certificate must pass
+(``certificate_defect``).  Everything downstream (feasibility margins,
 the radius search, witness extraction) is built from these two maps.
 
 All matrices are dense 64-bit floating point.  Input dimension zero is a
@@ -37,6 +38,7 @@ __all__ = [
     "lyapunov_operator",
     "lyapunov_adjoint",
     "margin_matrix",
+    "certificate_defect",
     "iqc_partial_sums",
     "dynamics_residual",
     "DYNAMICS_RTOL",
@@ -102,7 +104,8 @@ class SystemData:
     """Discrete-time LTI system ``x_{k+1} = A x_k + B u_k``.
 
     ``B`` may be omitted for autonomous systems, in which case it is the
-    ``n x 0`` matrix and the input dimension ``m`` is zero.
+    ``n x 0`` matrix and the input dimension ``m`` is zero.  The state
+    dimension ``n`` is at least one.
     """
 
     A: np.ndarray
@@ -113,6 +116,8 @@ class SystemData:
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatchError(f"A: must be square, got {A.shape}")
         n = A.shape[0]
+        if n == 0:
+            raise DimensionMismatchError("A: needs at least one state, got 0x0")
         B = self.B
         if B is None:
             B = np.zeros((n, 0))
@@ -138,7 +143,7 @@ class SystemData:
 
     def scale(self) -> float:
         """A rough magnitude of the system data, used to set tolerances."""
-        s = float(np.linalg.norm(self.A, 2)) if self.n else 0.0
+        s = float(np.linalg.norm(self.A, 2))
         if self.m:
             s = max(s, float(np.linalg.norm(self.B, 2)))
         return 1.0 + s * s
@@ -308,6 +313,26 @@ def margin_matrix(sys: SystemData, iqcs: IqcSet, rho: float,
     for lam, M in zip(np.asarray(lambdas, dtype=float), iqcs):
         H = H + lam * M
     return H
+
+
+def certificate_defect(P: np.ndarray, lambdas: np.ndarray, margin: float,
+                       bound: float) -> str:
+    """Why (P, lambda) is not a certificate with margin <= ``bound``; "" if
+    it is.  ``margin`` is the largest eigenvalue of its ``margin_matrix`` at
+    the checked rate.  In order: the margin is finite and at most ``bound``,
+    P and lambda are finite, lambda >= 0 (the S-procedure multipliers) and
+    lambda_min(P) >= 1 - 1e-6, computed only for a pair that passes the rest.
+    """
+    if not (np.isfinite(margin) and margin <= bound):
+        return "margin not finite or above the bound"
+    lambdas = np.asarray(lambdas, dtype=float)
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(lambdas))):
+        return "P or lambda not finite"
+    if np.any(lambdas < 0):
+        return "negative multiplier"
+    if float(np.linalg.eigvalsh(P)[0]) < 1.0 - 1e-6:
+        return "min eig of P below 1 - 1e-6"
+    return ""
 
 
 def iqc_partial_sums(traj: Trajectory, iqcs: IqcSet) -> list[np.ndarray]:

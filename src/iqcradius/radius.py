@@ -9,7 +9,8 @@ lambda >= 0.  Feasibility is monotone in rho.  A rate is
     feasible rate-rho inequality, or
   * above the radius when a point (P, lambda) with P >= I, lambda >= 0
     and trace(P) + sum(lambda) <= TRACE_CAP has a margin that re-checks
-    at most -strict by an eigenvalue routine.
+    at most -strict by an eigenvalue routine, strict = STRICT_EPS times
+    the problem scale (``model.certificate_defect`` holds the test).
 
 Both tests are eigenvalue re-checks, monotone in the rate for a fixed
 certificate, so each certificate has a *reach*, the furthest rate it
@@ -59,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (IqcSet, SystemData, Trajectory, _lyapunov_stack,
-                    lyapunov_adjoint, margin_matrix, simulate)
+                    certificate_defect, lyapunov_adjoint, margin_matrix,
+                    simulate)
 from .sdp_engine import (TRACE_CAP, DualFeasibilityResult,
                          MarginPrimalResult, dual_feasibility_margin,
                          margin_point, solve_margin_primal)
@@ -85,6 +87,9 @@ _NUDGE = 1e-12
 # their coefficients (``sdp_engine._block_norms``), so rho^4 must stay well
 # inside the float range; from rho_max = 1e80 those products overflow.
 RHO_MAX_LIMIT = 1e50
+# Strict-feasibility threshold, relative to the problem scale: a pair
+# proves a rate above the radius with margin <= -0.5 STRICT_EPS scale.
+STRICT_EPS = 1e-8
 
 
 @dataclass
@@ -162,27 +167,23 @@ def _certified_dual_slack(sys: SystemData, iqcs: IqcSet, rho: float,
     Qp = _unit_trace_psd(Q)
     if Qp is None:
         return -np.inf
-    slacks = []
-    if sys.n:
-        slacks.append(float(np.linalg.eigvalsh(lyapunov_adjoint(Qp, sys, rho))[0]))
+    slacks = [float(np.linalg.eigvalsh(lyapunov_adjoint(Qp, sys, rho))[0])]
     for M in iqcs:
         slacks.append(float(np.tensordot(Qp, M)))
-    return min(slacks) if slacks else 0.0
+    return min(slacks)
 
 
 def _certified_above(sys: SystemData, iqcs: IqcSet, result: MarginPrimalResult,
                      strict: float) -> bool:
     """True when (P, lambda) provably puts this rate strictly above the radius.
 
-    The pair must also lie in the set the margin program searches: P >= I
-    and trace(P) + sum(lambda) <= TRACE_CAP (``margin_point`` has already
-    clipped lambda to be nonnegative).
+    The pair passes ``certificate_defect`` with bound -0.5 * strict, the
+    test ``verify`` applies to a report.  The search also asks for a
+    solver margin at most -strict and for the pair to lie in the set the
+    margin program searches, trace(P) + sum(lambda) <= TRACE_CAP.
     """
-    if not np.all(np.isfinite(result.P)) or not np.all(np.isfinite(result.lambdas)):
-        return False
-    if result.s_star > -strict or result.margin_check > -0.5 * strict:
-        return False
-    if sys.n and float(np.linalg.eigvalsh(result.P)[0]) < 1.0 - 1e-6:
+    if result.s_star > -strict or certificate_defect(
+            result.P, result.lambdas, result.margin_check, -0.5 * strict):
         return False
     return float(np.trace(result.P)) + float(np.sum(result.lambdas)) <= TRACE_CAP
 
@@ -200,7 +201,7 @@ def _dual_certificate(sys: SystemData, iqcs: IqcSet, rho: float,
     """
     duals = probe.solution.cone_duals
     labels = ["adjoint"] + [f"iqc{i}" for i in range(len(iqcs))]
-    if not sys.n or any(label not in duals for label in labels):
+    if any(label not in duals for label in labels):
         return None
     P = duals["adjoint"]
     p_min = float(np.linalg.eigvalsh(P)[0])
@@ -224,7 +225,7 @@ def _q_reach(sys: SystemData, iqcs: IqcSet, Q: np.ndarray | None) -> float:
     trace(Q M_i) < 0, when Q_xx is singular or when Q proves no rate.
     """
     Qp = _unit_trace_psd(Q)
-    if Qp is None or not sys.n or any(float(np.tensordot(Qp, M)) < 0 for M in iqcs):
+    if Qp is None or any(float(np.tensordot(Qp, M)) < 0 for M in iqcs):
         return 0.0
     try:
         L = np.linalg.cholesky(Qp[:sys.n, :sys.n])
@@ -246,7 +247,7 @@ def _pair_reach(sys: SystemData, iqcs: IqcSet, pair: MarginPrimalResult,
     """
     n = sys.n
     P = 0.5 * (pair.P + pair.P.T)
-    if not n or not np.all(np.isfinite(P)) or not np.all(np.isfinite(pair.lambdas)):
+    if not np.all(np.isfinite(P)) or not np.all(np.isfinite(pair.lambdas)):
         return np.inf
     W = _lyapunov_stack(P[None], sys, 0.0)[0] + strict * np.eye(n + sys.m)
     for lam, M in zip(pair.lambdas, iqcs):
@@ -369,14 +370,11 @@ class _Search:
 
 
 def _eig_radius(A: np.ndarray) -> float:
-    if A.shape[0] == 0:
-        return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                     bisect_tol: float = 1e-6, rho_max: float = 1e3,
-                    strict_eps: float = 1e-8,
                     solver=None) -> RadiusCertificate:
     """Compute the constrained spectral radius with a feasibility certificate.
 
@@ -389,11 +387,10 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    if not (all(0 < x < np.inf for x in (bisect_tol, strict_eps))
-            and 0 < rho_max <= RHO_MAX_LIMIT):
-        raise ValueError("bisect_tol and strict_eps must be finite, > 0, "
+    if not (0 < bisect_tol < np.inf and 0 < rho_max <= RHO_MAX_LIMIT):
+        raise ValueError("bisect_tol must be finite and > 0, "
                          f"and rho_max in (0, {RHO_MAX_LIMIT:g}]")
-    strict = strict_eps * (sys.scale() + iqcs.scale())
+    strict = STRICT_EPS * (sys.scale() + iqcs.scale())
     search = _Search(sys, iqcs, strict, solver)
 
     def build(rho, lo, status="ok", message=""):
@@ -414,7 +411,6 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                     attained = True
                     break
                 attained, point = attainment_check(sys, iqcs, rate,
-                                                   strict_eps=strict_eps,
                                                    solver=solver)
                 if attained:
                     break
@@ -480,30 +476,27 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
 
 
 def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
-                     strict_eps: float = 1e-8,
                      solver=None) -> tuple[bool, MarginPrimalResult]:
     """Whether the rate-rho inequality is feasible at rho itself.
 
     True iff the margin program at exactly rho produces a certificate
-    (P, lambda) whose margin, recomputed by an eigenvalue routine, is
-    at most ``strict_eps`` (scale-adjusted) with P >= I.  The decision
-    rests on the recomputed certificate, not the solver's status: a
-    shaky solve with a verifiable certificate counts, while a failed
-    solve without one reports False, never a false positive.
+    (P, lambda) that passes ``certificate_defect`` with bound 2 STRICT_EPS
+    (scale-adjusted) on its margin recomputed by an eigenvalue routine.
+    The decision rests on the recomputed certificate, not the solver's
+    status: a shaky solve with a verifiable certificate counts, while a
+    failed solve without one reports False, never a false positive.
     """
     iqcs.check_matches(sys)
-    scale = sys.scale() + iqcs.scale()
-    tol = strict_eps * scale
+    tol = STRICT_EPS * (sys.scale() + iqcs.scale())
     result = solve_margin_primal(sys, iqcs, rho, solver=solver)
     return _attains(result, tol), result
 
 
 def _attains(result: MarginPrimalResult, tol: float) -> bool:
-    """The attainment test on a margin point: P is finite with P >= I (to
-    1e-6), and its recomputed margin is at most ``2 * tol``."""
-    return bool(np.all(np.isfinite(result.P))
-                and result.margin_check <= 2.0 * tol
-                and float(np.linalg.eigvalsh(result.P)[0]) >= 1.0 - 1e-6)
+    """The attainment test on a margin point: ``certificate_defect`` with
+    bound ``2 * tol`` on its recomputed margin."""
+    return not certificate_defect(result.P, result.lambdas,
+                                  result.margin_check, 2.0 * tol)
 
 
 def _growth_diagnostic(sys: SystemData, rho: float,
@@ -517,12 +510,9 @@ def _growth_diagnostic(sys: SystemData, rho: float,
     """
     if sys.m != 0 and np.any(sys.B):
         return None
-    A = sys.A
-    if A.shape[0] == 0:
-        return None
-    Ak = np.linalg.matrix_power(A, horizon)
+    Ak = np.linalg.matrix_power(sys.A, horizon)
     _, sv, Vt = np.linalg.svd(Ak)
-    if sv.size == 0 or sv[0] < 10.0:
+    if sv[0] < 10.0:
         return None
     x0 = Vt[0]
     traj = simulate(sys, x0, horizon)
@@ -532,7 +522,6 @@ def _growth_diagnostic(sys: SystemData, rho: float,
 
 def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
              bisect_tol: float = 1e-6, rho_max: float = 1e3,
-             strict_eps: float = 1e-8,
              solver=None, witness_horizon: int = 100) -> StabilityVerdict:
     """Stability classification from the radius and attainment.
 
@@ -545,7 +534,7 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol, rho_max=rho_max,
-                           strict_eps=strict_eps, solver=solver)
+                           solver=solver)
     if not np.isfinite(cert.rho):
         return StabilityVerdict(
             classification="inconclusive", certificate=cert,
@@ -559,8 +548,8 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
     def try_witness(reasons):
         from .worstcase import build_witness
         wit = build_witness(sys, iqcs, rho=cert.rho, horizon=witness_horizon,
-                            bisect_tol=bisect_tol, strict_eps=strict_eps,
-                            solver=solver, radius_cert=cert)
+                            bisect_tol=bisect_tol, solver=solver,
+                            radius_cert=cert)
         if wit.ok:
             return wit.trajectory, reasons
         return None, reasons + [f"no worst-case witness: {wit.reason}"]
@@ -597,7 +586,6 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
 
 def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
                                  bisect_tol: float = 1e-6, rho_max: float = 1e3,
-                                 strict_eps: float = 1e-8,
                                  solver=None) -> ExponentialRateResult:
     """Decay-rate certificate: the radius, realized at the scaled pair (A/rho, B/rho).
 
@@ -607,7 +595,7 @@ def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol, rho_max=rho_max,
-                           strict_eps=strict_eps, solver=solver)
+                           solver=solver)
     if not np.isfinite(cert.rho):
         return ExponentialRateResult(False, np.inf, None,
                                      "no feasibility certificate up to rho_max")
@@ -618,8 +606,7 @@ def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
             "substitution requires attainment")
     rate = max(cert.rho, bisect_tol)
     scaled = SystemData(A=sys.A / rate, B=None if sys.m == 0 else sys.B / rate)
-    attained, result = attainment_check(scaled, iqcs, 1.0, strict_eps=strict_eps,
-                                        solver=solver)
+    attained, result = attainment_check(scaled, iqcs, 1.0, solver=solver)
     if not attained:
         return ExponentialRateResult(
             False, cert.rho, None,

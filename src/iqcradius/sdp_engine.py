@@ -597,7 +597,7 @@ def margin_point(sys: SystemData, iqcs: IqcSet, rho: float, P: np.ndarray,
     """
     lams = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
     H = margin_matrix(sys, iqcs, rho, P, lams)
-    margin_check = float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
+    margin_check = float(np.linalg.eigvalsh(H)[-1])
     s = max(margin_check, MARGIN_FLOOR) if s_star is None else s_star
     floor_active = s <= MARGIN_FLOOR + 1e-6 * (1 + abs(MARGIN_FLOOR))
     cap_active = (float(np.trace(P)) + float(np.sum(lams))) >= TRACE_CAP * (1 - 1e-6)
@@ -623,14 +623,14 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float, *,
     pb.add_sym_var("Q", d)
     pb.add_scalar_var("t")
     pb.minimize([("t", [-1.0])])
-    if n:
-        pb.add_psd(n, None, [("Q", _lyapunov_stack(E, sys, rho, adjoint=True)),
-                             ("t", -np.eye(n)[None])], label="adjoint")
+    pb.add_psd(n, None, [("Q", _lyapunov_stack(E, sys, rho, adjoint=True)),
+                         ("t", -np.eye(n)[None])], label="adjoint")
     pb.add_psd(d, None, [("Q", E)], label="Q_psd")
     for i, M in enumerate(iqcs):
         pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M)), ("t", [-1.0])],
                            label=f"iqc{i}")
-    # Keeps the objective bounded even with n = 0 and no constraints.
+    # Caps t at ten times the problem scale, above any slack a trace-1 Q
+    # attains, so the row never binds at the optimum.
     tcap = 10.0 * (sys.scale() + iqcs.scale())
     pb.add_scalar_ineq(tcap, [("t", [-1.0])], label="tcap")
     pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
@@ -664,8 +664,7 @@ def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float, *,
     pb = SdpProblem()
     pb.add_sym_var("Q", d)
     pb.minimize([("Q", -np.trace(adj, axis1=1, axis2=2))])
-    if n:
-        pb.add_psd(n, None, [("Q", adj)], label="adjoint")
+    pb.add_psd(n, None, [("Q", adj)], label="adjoint")
     pb.add_psd(d, None, [("Q", E)], label="Q_psd")
     for i, M in enumerate(iqcs):
         pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M))], label=f"iqc{i}")

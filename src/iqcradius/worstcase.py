@@ -784,8 +784,8 @@ def pointwise_check(modes: WorstCaseModes) -> bool:
 
 def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                   rho: float = 1.0, horizon: int = 300,
-                  bisect_tol: float = 1e-6, strict_eps: float = 1e-8,
-                  solver=None, radius_cert=None) -> WitnessOutcome:
+                  bisect_tol: float = 1e-6, solver=None,
+                  radius_cert=None) -> WitnessOutcome:
     """Run the witness pipeline and return the orbit or the failing stage.
 
     ``rho`` is the radius the caller established (1 for the stability
@@ -827,7 +827,7 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
         radius_cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol,
                                       rho_max=min(max(1e3, 2.0 * rho),
                                                   RHO_MAX_LIMIT),
-                                      strict_eps=strict_eps, solver=solver)
+                                      solver=solver)
     found = radius_cert.rho
     if not np.isfinite(found) or \
             abs(found - rho) > max(10.0 * bisect_tol * max(1.0, rho), 1e-9):

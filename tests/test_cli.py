@@ -7,10 +7,12 @@ RuntimeWarnings as errors.  Exit codes: 0 success, 1 input error,
 2 no certified rate, 3 no witness, 4 verification failure.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iqcradius import cli
 from iqcradius.cli import main
 from iqcradius.dynamic_iqc import IqcFilter, PlantData, augment_all
 from iqcradius.model import IqcSet, SystemData
@@ -44,6 +47,8 @@ ROTATION_IQC = {"dims": {"n": 2, "m": 0},
                 "iqcs": [mat([[1.0, 0.0], [0.0, 0.0]])]}
 GD = {"dims": {"n": 1, "m": 1}, "A": mat([[1.0]]), "B": mat([[-0.1]]),
       "iqcs": [mat([[-10.0, 5.5], [5.5, -1.0]])]}
+# x_{k+1} = x_k with sum x_k^2 >= beta: radius 1.
+UNIT_IQC = {"dims": {"n": 1, "m": 0}, "A": mat([[1.0]]), "iqcs": [mat([[1.0]])]}
 
 DELAY_FILTER = {
     "plant": {"A": mat([[0.7]]), "B": mat([[1.3]]), "C": mat([[-0.4]]),
@@ -489,6 +494,106 @@ def test_verify_rechecks_every_recorded_margin(tmp_path, command, problem_doc):
             assert expected in out, (block, path, out)
             moved += 1
     assert moved == (8 if command == "worst-case" else 2)
+
+
+def _recertify(doc, problem):
+    """Rewrite the certificate margins to match the edited certificate."""
+    prob = cli.load_problem(problem)
+    cert = doc["certificate"]
+    P = np.array(cert["P"]["data"]).reshape(cert["P"]["rows"], cert["P"]["cols"])
+    doc["margins"]["certificate"] = cli._certificate_margins(
+        prob.sys, prob.iqcs, cert["rho_cert"], P, cert["lambdas"])
+
+
+def _negative_multiplier(doc, problem):
+    """P = 1 and lambda = -1 make the rate-0.5 matrix -0.25 < 0, but a
+    negative multiplier proves nothing."""
+    doc["certificate"].update(P=mat([[1.0]]), lambdas=[-1.0], rho_cert=0.5)
+    doc.update(rho=0.5, bracket=[0.5, 0.5])
+    _recertify(doc, problem)
+
+
+def _lowered_rate(doc, problem):
+    """GD at step 0.1 has radius 0.9; below it the margin is positive."""
+    rate = 0.89999189
+    doc["certificate"]["rho_cert"] = rate
+    doc.update(rho=rate - 5e-7, bracket=[rate - 1e-6, rate])
+    _recertify(doc, problem)
+
+
+def _moved_headline(doc, problem):
+    doc.update(rho=0.5, bracket=[0.4, 0.6], verdict="asymptotically-stable")
+
+
+def _rate(value):
+    def forge(doc, problem):
+        doc["certificate"]["rho_cert"] = value
+    return forge
+
+
+@pytest.mark.parametrize("problem_doc, forge, code, expected", [
+    (UNIT_IQC, _negative_multiplier, 4, "FAIL lyapunov-certificate"),
+    (GD, _lowered_rate, 4, "FAIL lyapunov-certificate"),
+    (UNIT_IQC, _moved_headline, 4, "FAIL headline-bracket"),
+    (UNIT_IQC, _rate(0.0), 1, "error: certificate.rho_cert: expected a finite"),
+    (UNIT_IQC, _rate(-1.0), 1, "error: certificate.rho_cert: expected a finite"),
+    (UNIT_IQC, _rate(1e300), 4, "FAIL lyapunov-certificate"),
+])
+def test_verify_rejects_forged_certificates(tmp_path, problem_doc, forge, code,
+                                            expected):
+    """Reports edited so that the certificate proves nothing, or proves
+    something other than the headline numbers, do not pass."""
+    problem = write(tmp_path, "p.json", problem_doc)
+    report_path = tmp_path / "report.json"
+    assert run("radius", problem, "--out", str(report_path))[0] == 0
+    doc = json.loads(report_path.read_text())
+    forge(doc, problem)
+    got, out = verify_doc(tmp_path, doc, problem)
+    assert got == code, out
+    assert expected in out
+    assert "Traceback" not in out
+
+
+def test_non_finite_recomputation_never_reproduces():
+    assert not cli._reproduces(1.0, np.inf)
+    assert not cli._reproduces(-3e-8, -np.inf)
+    assert not cli._reproduces({"certificate_eig": -3e-8},
+                               {"certificate_eig": -np.inf})
+
+
+def test_strict_eps_is_not_an_option(tmp_path):
+    problem = write(tmp_path, "p.json", dict(STABLE, options={"strict_eps": 1e-8}))
+    code, out = run("radius", problem)
+    assert code == 1
+    assert "error: options: unknown key 'strict_eps'" in out
+
+
+def test_readme_and_cli_agree_on_options(monkeypatch):
+    """The flags README quotes are exactly the long options of the
+    subcommands, and the environment variables it names exactly those
+    that ``_resolve`` reads."""
+    readme = (ROOT / "README.md").read_text()
+    parser = cli._parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for sub in subcommands.choices.values()
+             for action in sub._actions for flag in action.option_strings
+             if flag.startswith("--") and flag != "--help"}
+    assert set(re.findall(r"`(--[a-z][a-z-]*)`", readme)) == flags
+
+    class Recording(dict):
+        def __init__(self):
+            super().__init__()
+            self.asked = set()
+
+        def __contains__(self, key):
+            self.asked.add(key)
+            return False
+
+    environ = Recording()
+    monkeypatch.setattr(os, "environ", environ)
+    cli._resolve(argparse.Namespace(), {})
+    assert set(re.findall(r"IQCRADIUS_[A-Z_]+", readme)) == environ.asked
 
 
 def test_verify_dimension_mismatch(tmp_path):

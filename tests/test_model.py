@@ -16,6 +16,12 @@ from iqcradius.model import (
 )
 
 
+@pytest.mark.parametrize("B", [None, np.zeros((0, 1))])
+def test_system_without_states_is_rejected(B):
+    with pytest.raises(DimensionMismatchError):
+        SystemData(A=np.zeros((0, 0)), B=B)
+
+
 def test_lyapunov_operator_scalar_zero_state_matrix():
     sys = SystemData(A=[[0.0]])
     out = lyapunov_operator(np.array([[1.0]]), sys, rho=1.0)
