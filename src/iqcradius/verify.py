@@ -21,7 +21,8 @@ The one-step dynamics residual and its tolerance live in ``model``
 (``dynamics_residual``, ``DYNAMICS_RTOL``) and the orbit generator in
 ``worstcase`` (``mode_orbit``), shared with the witness pipeline.
 ``check_witness`` regenerates the orbit over ``CHECK_HORIZON`` steps;
-its rows begin bit for bit with the witness trajectory.
+its rows begin bit for bit with the witness trajectory.  Row forms and
+norms use ``model``'s kernels (``_row_forms``, ``_row_norms``).
 
 The growth test states a horizon-bounded fact only (a half-versus-half
 comparison of state norms); a finite trajectory cannot certify a limit,
@@ -40,7 +41,9 @@ from .model import (
     IqcSet,
     SystemData,
     Trajectory,
-    dynamics_residual,
+    _residual_and_state_norms,
+    _row_forms,
+    _row_norms,
     iqc_partial_sums,
     margin_matrix,
 )
@@ -163,23 +166,16 @@ def lyapunov_trace(sys: SystemData, traj: Trajectory,
             f"match the system (n={sys.n}, m={sys.m})")
     lambdas = _as_lambdas(cert, len(iqcs))
 
-    X = traj.states
-    state_part = np.einsum("ki,ij,kj->k", X, P, X)
-    values = state_part.copy()
-    if len(iqcs):
-        for lam, sums in zip(lambdas, iqc_partial_sums(traj, iqcs)):
-            values[1:] += lam * sums
+    values = _row_forms(traj.states, P)
+    for lam, sums in zip(lambdas, iqc_partial_sums(traj, iqcs)):
+        values[1:] += lam * sums
     differences = values[1:] - values[:-1]
 
     W = margin_matrix(sys, iqcs, 1.0, P, lambdas)
-    Z = traj.stacked()
-    quadratic = np.einsum("ki,ij,kj->k", Z, W, Z) if len(traj) else np.zeros(0)
+    quadratic = _row_forms(traj.stacked(), W)
 
-    if len(traj):
-        err = float(np.max(np.abs(differences - quadratic)
-                           / (1.0 + np.abs(quadratic))))
-    else:
-        err = 0.0
+    err = float(np.max(np.abs(differences - quadratic)
+                       / (1.0 + np.abs(quadratic)), initial=0.0))
     return LyapunovTrace(values=values, differences=differences,
                          quadratic=quadratic, identity_error=err,
                          identity_ok=err <= IDENTITY_RTOL)
@@ -221,20 +217,25 @@ def _growing(norms: np.ndarray) -> bool:
 
 def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
                            iqcs: IqcSet | None = None) -> TrajectoryDiagnostics:
-    """Dynamics residual, constraint sums, and the growth test for a trajectory."""
+    """Dynamics residual, constraint sums, and the growth test for a trajectory.
+
+    One pass of state norms serves the residual and the growth test.  A
+    trajectory with no steps bounds no horizon: its ``iqc_minima`` are +inf.
+    """
     if traj.n != sys.n or traj.m != sys.m:
         raise DimensionMismatchError(
             f"trajectory dimensions (n={traj.n}, m={traj.m}) do not "
             f"match the system (n={sys.n}, m={sys.m})")
-    residual = dynamics_residual(sys, traj)
+    residual, norms = _residual_and_state_norms(sys, traj)
     if iqcs is not None and len(iqcs):
-        minima = np.array([float(s.min()) for s in iqc_partial_sums(traj, iqcs)])
+        minima = np.array([float(s.min(initial=np.inf))
+                           for s in iqc_partial_sums(traj, iqcs)])
     else:
         minima = np.zeros(0)
     return TrajectoryDiagnostics(
         steps=len(traj), dynamics_residual=residual,
         dynamics_ok=residual <= DYNAMICS_RTOL, iqc_minima=minima,
-        growing=_growing(np.linalg.norm(traj.states, axis=1)))
+        growing=_growing(norms))
 
 
 def check_witness(sys: SystemData, report: WitnessReport,
@@ -260,22 +261,19 @@ def check_witness(sys: SystemData, report: WitnessReport,
             f"problem supplies {len(iqcs)} constraints")
     notes: list[str] = []
     horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     Z, traj = mode_orbit(report.modes, horizon, float(report.growth))
     if len(traj) < horizon:
         notes.append(SHORTENED_NOTE.format(len(traj)))
 
     diag = trajectory_diagnostics(sys, traj, iqcs)
 
-    if len(iqcs):
-        margins = diag.iqc_minima - bounds
-        iqc_ok = bool(np.all(margins >= -IQC_SLACK))
-    else:
-        margins = np.zeros(0)
-        iqc_ok = True
+    margins = diag.iqc_minima - bounds
+    iqc_ok = bool(np.all(margins >= -IQC_SLACK))
 
-    coeff_norms = np.linalg.norm(Z, axis=1)
     v_norm = float(np.linalg.norm(report.modes.v))
-    drift = float(np.max(np.abs(coeff_norms - v_norm)))
+    drift = float(np.max(np.abs(_row_norms(Z) - v_norm)))
     norm_ok = drift <= NORM_DRIFT_TOL * (1.0 + v_norm)
 
     direction_norm = float(np.linalg.norm(report.modes.X @ report.modes.v))
@@ -284,12 +282,8 @@ def check_witness(sys: SystemData, report: WitnessReport,
     if report.gain is not None:
         K = np.asarray(report.gain, dtype=float)
         U, X = traj.inputs, traj.states[:-1]
-        if U.shape[1]:
-            gain_err = np.linalg.norm(U - X @ K.T, axis=1)
-            gain_residual = float(np.max(
-                gain_err / (1.0 + np.linalg.norm(U, axis=1))))
-        else:
-            gain_residual = 0.0
+        gain_residual = float(np.max(
+            _row_norms(U - X @ K.T) / (1.0 + _row_norms(U))))
         gain_ok = gain_residual <= GAIN_RTOL
     else:
         gain_residual = float("nan")

@@ -30,6 +30,7 @@ from .model import (
     SystemData,
     Trajectory,
     _lyapunov_stack,
+    _row_forms,
     dynamics_residual,
     lyapunov_adjoint,
     symmetrize,
@@ -749,8 +750,7 @@ def hard_iqc_shift(modes: WorstCaseModes,
     if scale is None:
         scale = float(np.linalg.norm(modes.H[0], 2))
     Z, _ = mode_orbit(modes, SHIFT_WINDOW - 1)
-    per_step = np.einsum("ki,ij,kj->k", Z, modes.H[0], Z)
-    sums = np.cumsum(per_step)
+    sums = np.cumsum(_row_forms(Z, modes.H[0]))
     tol = SHIFT_RTOL * scale * float(np.einsum("ki,ki->", Z, Z))
     n_star = int(np.argmax(sums <= sums.min() + tol)) + 1
     if n_star > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
@@ -771,7 +771,7 @@ def pointwise_check(modes: WorstCaseModes) -> bool:
         return modes.v is not None
     Z, _ = mode_orbit(modes, POINTWISE_HORIZON - 1)
     for Hi in modes.H:
-        per_step = np.einsum("ki,ij,kj->k", Z, Hi, Z)
+        per_step = _row_forms(Z, Hi)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(per_step), initial=0.0)))
         if float(per_step.min(initial=0.0)) < -tol:
             return False

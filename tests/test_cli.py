@@ -596,6 +596,25 @@ def test_readme_and_cli_agree_on_options(monkeypatch):
     assert set(re.findall(r"IQCRADIUS_[A-Z_]+", readme)) == environ.asked
 
 
+@pytest.mark.parametrize("report, problem", [
+    ("rotation_iqc.worst-case.json", "rotation_iqc.problem.json"),
+    ("gd_two_over_l.worst-case.json", "gd_two_over_l.problem.json"),
+    ("gd.radius.json", "gd.problem.json"),
+])
+def test_stored_reports_still_verify(tmp_path, report, problem):
+    """Reports written by an earlier release verify, and fail once their
+    certificate is corrupted.  The GD-at-2/L witness margin sits at 0.0,
+    where a change in rounding is first seen."""
+    data = ROOT / "tests" / "data"
+    problem = str(data / problem)
+    assert run("verify", str(data / report), problem)[0] == 0
+
+    doc = json.loads((data / report).read_text())
+    P = doc["certificate"]["P"]
+    P["data"][0] = 0.5 * P["data"][0] - 1.0
+    assert verify_doc(tmp_path, doc, problem)[0] == 4
+
+
 def test_verify_dimension_mismatch(tmp_path):
     jordan = write(tmp_path, "jordan.json", JORDAN)
     other = write(tmp_path, "other.json", SIGNED_PAIR)

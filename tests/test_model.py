@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iqcradius.model import (
     DimensionMismatchError,
     IqcSet,
     SystemData,
     Trajectory,
+    _row_forms,
+    _row_norms,
     iqc_partial_sums,
     lyapunov_adjoint,
     lyapunov_operator,
@@ -105,6 +109,28 @@ def test_iqc_partial_sums_constant_state_counts_steps():
     neg, pos = iqc_partial_sums(traj, iqcs)
     assert np.allclose(neg, -np.arange(1, 8, dtype=float))
     assert np.allclose(pos, np.arange(1, 8, dtype=float))
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 50),
+       d=st.integers(1, 6), exponent=st.integers(-100, 100))
+def test_row_kernels_match_the_reference_formulas(seed, rows, d, exponent):
+    """The orbit-row kernels agree with the three-operand einsum and the
+    axis norm they replaced, up to the order of the sums."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((rows, d)) * 10.0 ** exponent
+    M = rng.standard_normal((d, d))
+    M = M + M.T
+
+    forms = _row_forms(Z, M)
+    reference = np.einsum("ki,ij,kj->k", Z, M, Z)
+    scale = np.einsum("ki,ki->k", np.abs(Z) @ np.abs(M), np.abs(Z))
+    assert forms.shape == (rows,)
+    assert np.all(np.abs(forms - reference) <= 1e-12 * scale)
+
+    norms = _row_norms(Z)
+    reference = np.linalg.norm(Z, axis=1)
+    assert norms.shape == (rows,)
+    assert np.all(np.abs(norms - reference) <= 1e-12 * reference)
 
 
 def test_simulate_defective_boundary_mode_grows_linearly():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import iqcradius.model
 from iqcradius.model import (
     DimensionMismatchError,
     IqcSet,
@@ -134,6 +135,50 @@ def test_diagnostics_flag_growth():
     calm = trajectory_diagnostics(stable, simulate(stable, [1.0], 50))
     assert calm.dynamics_ok
     assert not calm.growing
+
+
+def test_diagnostics_of_huge_finite_states_warn_nothing():
+    """Norms past the float range are inf, silently, as in the residual."""
+    sys = SystemData(A=[[1.0]])
+    traj = Trajectory(states=[[1e200], [1e200]], inputs=np.zeros((1, 0)))
+    diag = trajectory_diagnostics(sys, traj)
+    assert diag.steps == 1
+    assert not diag.growing
+
+
+def test_diagnostics_of_a_zero_step_trajectory():
+    sys = SystemData(A=[[1.0]])
+    traj = Trajectory(states=[[1.0]], inputs=np.zeros((0, 0)))
+    iqcs = IqcSet.from_matrices([[[1.0]], [[-1.0]]])
+    diag = trajectory_diagnostics(sys, traj, iqcs)
+    assert diag.steps == 0
+    assert diag.dynamics_ok
+    assert np.array_equal(diag.iqc_minima, [np.inf, np.inf])
+
+
+def test_check_witness_rejects_a_zero_horizon():
+    sys, report = flip_witness()
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        check_witness(sys, report, IqcSet.empty(2), horizon=0)
+
+
+def test_check_witness_computes_the_state_norms_once(monkeypatch):
+    sys = SystemData(A=[[0.0, 1.0], [-1.0, 0.0]])
+    outcome = build_witness(sys, IqcSet.empty(2), rho=1.0)
+    _, traj = mode_orbit(outcome.report.modes, 500)
+    seen = []
+    row_norms = iqcradius.model._row_norms
+
+    def recording(Z):
+        seen.append(Z.copy())
+        return row_norms(Z)
+
+    monkeypatch.setattr(iqcradius.model, "_row_norms", recording)
+    monkeypatch.setattr("iqcradius.verify._row_norms", recording)
+    assert check_witness(sys, outcome.report, IqcSet.empty(2), horizon=500).ok
+    states = [Z for Z in seen if len(Z) >= len(traj) and Z.shape[1] == traj.n
+              and np.array_equal(Z, traj.states[:len(Z)])]
+    assert len(states) == 1
 
 
 def test_check_witness_rotation_passes():
