@@ -22,7 +22,7 @@ def einsum_calls(path: Path) -> list[tuple[int, str | None, int]]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
         if name != "einsum" or not node.args:
             continue
         first = node.args[0]
