@@ -55,9 +55,7 @@ from .verify import (
     trajectory_diagnostics,
 )
 from .worstcase import (
-    DualWitnessResult,
     EigenGroup,
-    TechnicalConditionResult,
     WitnessOutcome,
     WitnessReport,
     WorstCaseModes,
@@ -79,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionMismatchError",
-    "DualWitnessResult",
     "EigenGroup",
     "ExponentialRateResult",
     "IqcFilter",
@@ -91,7 +88,6 @@ __all__ = [
     "SdpSolution",
     "StabilityVerdict",
     "SystemData",
-    "TechnicalConditionResult",
     "Trajectory",
     "TrajectoryDiagnostics",
     "WitnessCheck",

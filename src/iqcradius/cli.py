@@ -629,6 +629,7 @@ def cmd_verify(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
     recorded_dims = report.get("problem", {})
+    _require(isinstance(recorded_dims, dict), "problem: expected an object")
     if (recorded_dims.get("n") != sys_data.n
             or recorded_dims.get("m") != sys_data.m
             or recorded_dims.get("iqc_count") != len(iqcs)):
@@ -700,10 +701,11 @@ def cmd_verify(args) -> int:
         _require(recorded is not None,
                  "report: witness present but no recorded margins")
         _require(isinstance(recorded, dict), "margins.witness: expected an object")
-        # The report may lengthen the re-check but never shorten it.
-        horizon = max(_as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
-                                "margins.check_horizon"), CHECK_HORIZON)
-        wc = check_witness(sys_data, wrep, iqcs, horizon=horizon)
+        # The recorded horizon must be an integer, but the re-check always
+        # runs over CHECK_HORIZON: a report neither shortens nor lengthens it.
+        _as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
+                  "margins.check_horizon")
+        wc = check_witness(sys_data, wrep, iqcs, horizon=CHECK_HORIZON)
         item("witness-margins-reproduce",
              _reproduces(recorded, _witness_margins(wc)),
              f"dynamics {wc.dynamics_residual:.3e}, "

@@ -213,7 +213,6 @@ class Trajectory:
 
     states: np.ndarray   # (N+1, n)
     inputs: np.ndarray   # (N, m)
-    provenance: str = "simulated"
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -409,4 +408,4 @@ def simulate(sys: SystemData, x0, inputs=None) -> Trajectory:
     X[0] = x0
     for k in range(N):
         X[k + 1] = sys.A @ X[k] + sys.B @ U[k]
-    return Trajectory(states=X, inputs=U, provenance="simulated")
+    return Trajectory(states=X, inputs=U)

@@ -514,10 +514,7 @@ def _growth_diagnostic(sys: SystemData, rho: float,
     _, sv, Vt = np.linalg.svd(Ak)
     if sv[0] < 10.0:
         return None
-    x0 = Vt[0]
-    traj = simulate(sys, x0, horizon)
-    return Trajectory(states=traj.states, inputs=traj.inputs,
-                      provenance="unbounded-mode diagnostic (defective boundary eigenvalue)")
+    return simulate(sys, Vt[0], horizon)
 
 
 def classify(sys: SystemData, iqcs: IqcSet | None = None, *,

@@ -12,9 +12,12 @@ below, provided the direction v passes a group-wise sign condition.
 ``build_witness`` runs the pipeline end to end and stops with a reason
 at the first stage that cannot be certified: radius precheck, dual
 extraction, rank factorization, orthogonal factor, eigen grouping,
-technical condition, trajectory assembly.  Every certificate the
-pipeline emits is re-verified by direct numerical checks; a failed
-check downgrades the outcome rather than weakening the claim.
+technical condition, trajectory assembly.  Every stage after the radius
+precheck fails one way: it raises ``ValueError`` with the reason, and
+``build_witness`` alone turns that into a ``WitnessOutcome`` naming the
+stage.  Every certificate the pipeline emits is re-verified by direct
+numerical checks; a failed check downgrades the outcome rather than
+weakening the claim.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ from .model import (
     lyapunov_adjoint,
     symmetrize,
 )
-from .sdp_engine import SdpProblem, SdpSolution, solve, svec_basis
+from .sdp_engine import SdpProblem, solve, svec_basis
 
 __all__ = [
-    "DualWitnessResult",
     "EigenGroup",
-    "TechnicalConditionResult",
     "WitnessOutcome",
     "WitnessReport",
     "WorstCaseModes",
@@ -127,32 +128,6 @@ class WorstCaseModes:
     H: tuple[np.ndarray, ...]
     v: np.ndarray | None = None
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """The (n+m) x d factor [X; U]."""
-        return np.vstack([self.X, self.U])
-
-
-@dataclass(frozen=True)
-class DualWitnessResult:
-    """Stationary dual matrix and the direct checks that accept it."""
-
-    ok: bool
-    Q: np.ndarray | None
-    t_star: float
-    status: str
-    reason: str
-    solution: SdpSolution | None
-
-
-@dataclass(frozen=True)
-class TechnicalConditionResult:
-    """Direction certificate for the group-wise sign condition."""
-
-    v: np.ndarray | None
-    method: str
-    reason: str
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -188,7 +163,7 @@ class WitnessOutcome:
 
 
 def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
-                         solver=None) -> DualWitnessResult:
+                         solver=None) -> np.ndarray:
     """Most interior trace-one stationary dual matrix at rate one.
 
     Maximizes min(lambda_min(Q), min_i trace(Q M_i)) subject to the
@@ -197,6 +172,7 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     optimal value certifies that no witness matrix exists, while the
     returned Q is accepted only after direct eigenvalue and pairing
     checks (callers never need to trust the solver's word alone).
+    Raises ``ValueError`` naming the failed checks when no Q passes.
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
@@ -216,19 +192,12 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
 
     sol = (solver or solve)(pb)
     if sol.status == "infeasible" or "Q" not in sol.values:
-        return DualWitnessResult(
-            ok=False, Q=None, t_star=-np.inf, status=sol.status,
-            reason="no trace-one stationary dual matrix exists at rate one "
-                   "(the linear stationarity system is inconsistent)",
-            solution=sol)
+        raise ValueError("no trace-one stationary dual matrix exists at rate "
+                         "one (the linear stationarity system is inconsistent)")
 
     Q = symmetrize(np.asarray(sol.values["Q"]), name="Q")
-    t_star = float(sol.values.get("t", np.nan))
     if not np.all(np.isfinite(Q)):
-        return DualWitnessResult(ok=False, Q=None, t_star=t_star,
-                                 status=sol.status,
-                                 reason="solver returned non-finite values",
-                                 solution=sol)
+        raise ValueError("solver returned non-finite values")
 
     checks = []
     lam_min = float(np.linalg.eigvalsh(Q)[0])
@@ -246,13 +215,9 @@ def extract_dual_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
             checks.append(f"trace(Q M_{i}) = {pair:.3e}")
 
     if checks:
-        return DualWitnessResult(
-            ok=False, Q=Q, t_star=t_star, status=sol.status,
-            reason="no constraint-compatible stationary dual matrix: "
-                   + "; ".join(checks),
-            solution=sol)
-    return DualWitnessResult(ok=True, Q=Q, t_star=t_star, status=sol.status,
-                             reason="", solution=sol)
+        raise ValueError("no constraint-compatible stationary dual matrix: "
+                         + "; ".join(checks))
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +495,7 @@ def verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
 
 
 def technical_condition(modes: WorstCaseModes, *,
-                        solver=None) -> TechnicalConditionResult:
+                        solver=None) -> tuple[np.ndarray, str]:
     """Find a real direction v with Xv != 0 passing the sign condition.
 
     Tried in order: the rank-one case (v = 1); all transition
@@ -539,17 +504,18 @@ def technical_condition(modes: WorstCaseModes, *,
     the null space of X works, the leading right singular vector is
     used); and finally a trace-minimization relaxation over PSD V with
     trace(V X'X) = 1, accepted only when its optimum is rank one.
-    Every candidate is re-verified directly before being returned.
+    Every candidate is re-verified directly before being returned as
+    ``(v, method)``; when none passes, raises ``ValueError`` listing why
+    each candidate failed.
     """
-    n_iqc = len(modes.H)
     failures: list[str] = []
 
     def accept(v, method):
         defect = verify_direction(modes, v)
-        if not defect:
-            return TechnicalConditionResult(v=v, method=method, reason="")
-        failures.append(f"{method}: {defect}")
-        return None
+        if defect:
+            failures.append(f"{method}: {defect}")
+            return None
+        return v, method
 
     if modes.d == 1:
         got = accept(np.ones(1), "rank-one")
@@ -568,7 +534,7 @@ def technical_condition(modes: WorstCaseModes, *,
         else:
             failures.append("distinct-eigenvalues: basis sum is not real")
 
-    if n_iqc == 0 and modes.d >= 1:
+    if not modes.H and modes.d >= 1:
         # The sign condition is vacuous; only Xv != 0 is needed.
         _, _, vt = np.linalg.svd(modes.X, full_matrices=False)
         if vt.shape[0]:
@@ -576,26 +542,25 @@ def technical_condition(modes: WorstCaseModes, *,
             if got:
                 return got
 
-    relax = _relaxed_direction(modes, solver)
-    if relax.v is not None:
-        got = accept(relax.v, "relaxation")
+    try:
+        v = _relaxed_direction(modes, solver)
+    except ValueError as err:
+        failures.append(f"relaxation: {err}")
+    else:
+        got = accept(v, "relaxation")
         if got:
             return got
-    elif relax.reason:
-        failures.append(f"relaxation: {relax.reason}")
-
-    detail = "; ".join(failures) if failures else "no candidate available"
-    return TechnicalConditionResult(v=None, method="", reason=detail)
+    raise ValueError("; ".join(failures))
 
 
-def _relaxed_direction(modes: WorstCaseModes, solver) -> TechnicalConditionResult:
+def _relaxed_direction(modes: WorstCaseModes, solver) -> np.ndarray:
     """Trace-minimizing PSD relaxation of the sign condition.
 
     Minimizes trace(V) over V >= 0 with trace(V X'X) = 1 and
     trace(V K_i) >= 0, where K_i is the real symmetric part of the
     group-projected constraint matrix (exact for quadratic forms in a
     real direction).  Only a rank-one optimum is converted back into a
-    direction; anything else is reported absent.
+    direction; anything else raises ``ValueError``.
     """
     d = modes.d
     XtX = modes.X.T @ modes.X
@@ -610,26 +575,21 @@ def _relaxed_direction(modes: WorstCaseModes, solver) -> TechnicalConditionResul
     pb.add_scalar_eq(-1.0, [("V", np.tensordot(E, XtX))])
     sol = (solver or solve)(pb)
     if sol.status == "infeasible" or "V" not in sol.values:
-        return TechnicalConditionResult(
-            v=None, method="relaxation",
-            reason="the relaxed sign-condition program is infeasible")
+        raise ValueError("the relaxed sign-condition program is infeasible")
     V = symmetrize(np.asarray(sol.values["V"]), name="V")
     if not np.all(np.isfinite(V)):
-        return TechnicalConditionResult(v=None, method="relaxation",
-                                        reason="solver returned non-finite values")
+        raise ValueError("solver returned non-finite values")
     w, vecs = np.linalg.eigh(V)
     top = float(w[-1])
     total = float(np.trace(V))
     if total <= 0 or top < (1.0 - 1e-6) * total:
-        return TechnicalConditionResult(
-            v=None, method="relaxation",
-            reason=f"relaxation optimum is not rank one "
-                   f"(top eigenvalue carries {top / max(total, 1e-300):.6f} of the trace)")
+        raise ValueError(f"relaxation optimum is not rank one (top eigenvalue "
+                         f"carries {top / max(total, 1e-300):.6f} of the trace)")
     v = vecs[:, -1] * np.sqrt(max(top, 0.0))
     xnorm = float(np.linalg.norm(modes.X @ v))
     if xnorm > 0:
         v = v / xnorm
-    return TechnicalConditionResult(v=v, method="relaxation", reason="")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +622,11 @@ def mode_orbit(modes: WorstCaseModes, horizon: int,
         Fk, k = Fk @ Fk, 2 * k
     states = Z @ modes.X.T
     inputs = Z[:horizon] @ modes.U.T
-    provenance = "worst-case mode orbit"
     if growth != 1.0:
         weights = growth ** np.arange(horizon + 1)
         states = states * weights[:, None]
         inputs = inputs * weights[:horizon, None]
-        provenance += f", geometric growth {growth:.6g}"
-    return Z, Trajectory(states=states, inputs=inputs, provenance=provenance)
+    return Z, Trajectory(states=states, inputs=inputs)
 
 
 def build_trajectory(modes: WorstCaseModes, horizon: int,
@@ -690,15 +648,12 @@ def iqc_sum_lower_bound(modes: WorstCaseModes) -> np.ndarray:
     """
     if modes.v is None:
         raise ValueError("modes carry no direction v")
-    n_iqc = len(modes.H)
-    if n_iqc == 0:
-        return np.zeros(0)
     v = np.asarray(modes.v, dtype=float)
     projectors = [g.projector() for g in modes.groups]
     right = [P @ v for P in projectors]        # P_l v
     left = [v @ P for P in projectors]         # v' P_j, plain transpose
     thetas = [g.theta for g in modes.groups]
-    out = np.zeros(n_iqc)
+    out = np.zeros(len(modes.H))
     for i, Hi in enumerate(modes.H):
         bound = 0.0
         for j in range(len(modes.groups)):
@@ -795,9 +750,16 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     not survive the growth weighting).  ``radius_cert`` is the radius
     certificate when the caller already searched; without one the radius
     is recomputed.  Either way it must match ``rho`` with attainment.
+
+    A ``horizon`` below one raises ``ValueError`` before any solve.  After
+    the radius precheck every stage fails by raising ``ValueError``, and
+    one handler returns its reason under the stage's name; failures from
+    the technical condition on also carry the modes built so far.
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
 
     def fail(stage, reason, modes=None):
         return WitnessOutcome(ok=False, stage=stage, reason=reason, modes=modes)
@@ -843,48 +805,43 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     growth = 1.0 if at_boundary else float(rho)
     wsys = sys if at_boundary else SystemData(A=sys.A / growth, B=sys.B / growth)
 
-    dual = extract_dual_witness(wsys, iqcs, solver=solver)
-    if not dual.ok:
-        return fail("dual-extraction", dual.reason)
-
+    stage, modes = "dual-extraction", None
     try:
-        X, U, d = rank_factor(dual.Q, sys.n)
-    except ValueError as err:
-        return fail("rank-factorization", str(err))
+        Q = extract_dual_witness(wsys, iqcs, solver=solver)
 
-    G = wsys.A @ X + wsys.B @ U
-    F = recover_orthogonal_factor(X, G)
-    residual = float(np.linalg.norm(X @ F - G))
-    if residual > 1e-4 * (1.0 + float(np.linalg.norm(G))):
-        return fail("orthogonal-factor",
-                    f"dual witness inconsistent: the stationary factor "
-                    f"misses an orthogonal transition by {residual:.3e}")
-    X, U = _repair_factor(wsys, X, U, F)
+        stage = "rank-factorization"
+        X, U, d = rank_factor(Q, sys.n)
 
-    Z = np.vstack([X, U])
-    H = tuple(symmetrize(Z.T @ M @ Z, name="H") for M in iqcs)
+        stage = "orthogonal-factor"
+        G = wsys.A @ X + wsys.B @ U
+        F = recover_orthogonal_factor(X, G)
+        residual = float(np.linalg.norm(X @ F - G))
+        if residual > 1e-4 * (1.0 + float(np.linalg.norm(G))):
+            raise ValueError(f"dual witness inconsistent: the stationary factor "
+                             f"misses an orthogonal transition by {residual:.3e}")
+        X, U = _repair_factor(wsys, X, U, F)
+        Z = np.vstack([X, U])
+        H = tuple(symmetrize(Z.T @ M @ Z, name="H") for M in iqcs)
 
-    try:
+        stage = "eigen-grouping"
         groups = tuple(eigen_group(F))
+        modes = WorstCaseModes(Q=Q, d=d, X=X, U=U, F=F, groups=groups, H=H)
+
+        stage = "technical-condition"
+        modes = replace(modes, v=technical_condition(modes, solver=solver)[0])
+
+        stage = "trajectory-assembly"
+        traj = build_trajectory(modes, horizon, growth)
+        if not (np.isfinite(traj.states).all() and np.isfinite(traj.inputs).all()):
+            raise ValueError(f"growth-weighted orbit overflows within {horizon} steps")
+        residual = dynamics_residual(sys, traj)
+        if residual > DYNAMICS_RTOL:
+            raise ValueError(f"dynamics residual {residual:.3e} exceeds tolerance")
     except ValueError as err:
-        return fail("eigen-grouping", str(err))
-
-    modes = WorstCaseModes(Q=dual.Q, d=d, X=X, U=U, F=F, groups=groups, H=H)
-
-    cond = technical_condition(modes, solver=solver)
-    if cond.v is None:
-        return fail("technical-condition",
-                    f"sign condition not certified ({cond.reason})", modes)
-    modes = replace(modes, v=cond.v)
-
-    traj = build_trajectory(modes, horizon, growth)
-    if not (np.isfinite(traj.states).all() and np.isfinite(traj.inputs).all()):
-        return fail("trajectory-assembly",
-                    f"growth-weighted orbit overflows within {horizon} steps", modes)
-    residual = dynamics_residual(sys, traj)
-    if residual > DYNAMICS_RTOL:
-        return fail("trajectory-assembly",
-                    f"dynamics residual {residual:.3e} exceeds tolerance", modes)
+        reason = str(err)
+        if stage == "technical-condition":
+            reason = f"sign condition not certified ({reason})"
+        return fail(stage, reason, modes)
 
     notes: list[str] = []
     if len(traj) < horizon:

@@ -277,6 +277,29 @@ def test_verify_does_not_trust_a_shortened_horizon(tmp_path):
     assert "FAIL witness-checks" in out
 
 
+@pytest.mark.parametrize("recorded", [0, 10 ** 12])
+def test_verify_rechecks_over_the_fixed_horizon(tmp_path, monkeypatch, recorded):
+    """The recorded ``check_horizon`` neither shortens nor lengthens the
+    re-check; the orbit is never run at the recorded length."""
+    problem = write(tmp_path, "p.json", ROTATION)
+    report_path = tmp_path / "report.json"
+    assert run("worst-case", problem, "--out", str(report_path))[0] == 0
+    doc = json.loads(report_path.read_text())
+    doc["margins"]["check_horizon"] = recorded
+    report_path.write_text(json.dumps(doc))
+    horizons = []
+    check_witness = cli.check_witness
+
+    def recording(sys, report, iqcs, horizon):
+        horizons.append(horizon)
+        return check_witness(sys, report, iqcs, horizon=cli.CHECK_HORIZON)
+
+    monkeypatch.setattr(cli, "check_witness", recording)
+    code, out = run("verify", str(report_path), problem)
+    assert horizons == [cli.CHECK_HORIZON]
+    assert code == 0, out
+
+
 def _grown(m, rows=0, cols=0):
     """A report matrix with extra zero rows and columns."""
     a = np.pad(np.array(m["data"]).reshape(m["rows"], m["cols"]),
@@ -329,6 +352,10 @@ def _number_as_witness(doc):
     doc["witness"] = 1
 
 
+def _list_as_problem(doc):
+    doc["problem"] = [1, 2]
+
+
 def _integer_beyond_float_margin(doc):
     doc["margins"]["certificate"]["certificate_eig"] = 10 ** 400
 
@@ -362,6 +389,7 @@ def _integer_beyond_float_margin(doc):
      "error: witness.gain: expected 0x2, got 1x2"),
     (_set("pointwise", value="yes"), 1, "error: witness.pointwise: expected true or false"),
     (_number_as_witness, 1, "error: witness: expected an object"),
+    (_list_as_problem, 1, "error: problem: expected an object"),
     (_integer_beyond_float_margin, 4, "FAIL lyapunov-margin-reproduces"),
 ])
 def test_verify_malformed_report(tmp_path, corrupt, code, expected):

@@ -208,7 +208,9 @@ def test_programs_compile_like_per_element_references():
         captured = []
 
         def spy(pb):
-            # Zero values: every caller goes on to its next program.
+            # Zero values: every caller goes on to its next program, and
+            # the two witness stages reject them (trace(Q) and trace(V)
+            # are zero).
             captured.append(pb)
             comp = pb.compile()
             values = {name: pb.extract(name, np.zeros(comp.p), comp.spans)
@@ -217,8 +219,10 @@ def test_programs_compile_like_per_element_references():
 
         solve_margin_primal(sys, iqcs, rho, solver=spy)
         solve_margin_dual(sys, iqcs, rho, solver=spy)
-        worstcase.extract_dual_witness(sys, iqcs, solver=spy)
-        worstcase._relaxed_direction(modes, spy)
+        with pytest.raises(ValueError, match="trace"):
+            worstcase.extract_dual_witness(sys, iqcs, solver=spy)
+        with pytest.raises(ValueError, match="rank one"):
+            worstcase._relaxed_direction(modes, spy)
         references = _reference_programs(sys, iqcs, rho, modes)
         assert len(captured) == len(references) == 5
 

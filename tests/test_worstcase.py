@@ -8,6 +8,7 @@ plane rotations, scalar marginal systems, and diagonal constraint
 matrices whose partial sums can be brute-forced.
 """
 
+import types
 import warnings
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iqcradius import sdp_engine, worstcase
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
 from iqcradius.radius import spectral_radius
 from iqcradius.verify import check_witness
@@ -102,16 +104,13 @@ def feedback_witness():
 
 
 def test_dual_witness_plane_rotation():
-    result = extract_dual_witness(SystemData(A=rotation(np.pi / 2)),
-                                  IqcSet.empty(2))
-    assert result.ok
-    np.testing.assert_allclose(result.Q, 0.5 * np.eye(2), atol=1e-6)
+    Q = extract_dual_witness(SystemData(A=rotation(np.pi / 2)), IqcSet.empty(2))
+    np.testing.assert_allclose(Q, 0.5 * np.eye(2), atol=1e-6)
 
 
 def test_dual_witness_marginal_scalar():
-    result = extract_dual_witness(SystemData(A=[[1.0]]), IqcSet.empty(1))
-    assert result.ok
-    np.testing.assert_allclose(result.Q, [[1.0]], atol=1e-8)
+    Q = extract_dual_witness(SystemData(A=[[1.0]]), IqcSet.empty(1))
+    np.testing.assert_allclose(Q, [[1.0]], atol=1e-8)
 
 
 def test_dual_witness_postconditions(constrained_witnesses):
@@ -127,9 +126,8 @@ def test_dual_witness_postconditions(constrained_witnesses):
 
 def test_dual_witness_absent_for_signed_scalar_pair():
     iqcs = IqcSet.from_matrices([[[1.0]], [[-1.0]]], dim=1)
-    result = extract_dual_witness(SystemData(A=[[1.0]]), iqcs)
-    assert not result.ok
-    assert "trace(Q M" in result.reason
+    with pytest.raises(ValueError, match=r"trace\(Q M"):
+        extract_dual_witness(SystemData(A=[[1.0]]), iqcs)
 
 
 def test_rank_factor_full_rank():
@@ -225,28 +223,28 @@ def test_eigen_group_near_merge_warns():
 def test_direction_rank_one(feedback_witness):
     _, _, outcome = feedback_witness
     assert outcome.modes.d == 1
-    result = technical_condition(outcome.modes)
-    assert result.method == "rank-one"
-    np.testing.assert_allclose(result.v, [1.0])
+    v, method = technical_condition(outcome.modes)
+    assert method == "rank-one"
+    np.testing.assert_allclose(v, [1.0])
 
 
 def test_direction_distinct_eigenvalues(rotation_witness):
     _, outcome = rotation_witness
     modes = outcome.modes
-    result = technical_condition(modes)
-    assert result.method == "distinct-eigenvalues"
+    v, method = technical_condition(modes)
+    assert method == "distinct-eigenvalues"
     basis_sum = sum(g.W[:, 0] for g in modes.groups)
     assert np.linalg.norm(basis_sum.imag) <= 1e-10
-    np.testing.assert_allclose(result.v, basis_sum.real, atol=1e-10)
+    np.testing.assert_allclose(v, basis_sum.real, atol=1e-10)
 
 
 def test_direction_unconstrained_fallback():
     X, U, d = rank_factor(0.5 * np.eye(2), 2)
     modes = WorstCaseModes(Q=0.5 * np.eye(2), d=d, X=X, U=U, F=np.eye(2),
                            groups=tuple(eigen_group(np.eye(2))), H=())
-    result = technical_condition(modes)
-    assert result.method == "unconstrained"
-    assert np.linalg.norm(X @ result.v) > 1e-8
+    v, method = technical_condition(modes)
+    assert method == "unconstrained"
+    assert np.linalg.norm(X @ v) > 1e-8
 
 
 def test_direction_absent_for_opposite_signs():
@@ -255,9 +253,8 @@ def test_direction_absent_for_opposite_signs():
                            U=np.zeros((0, 1)), F=F,
                            groups=tuple(eigen_group(F)),
                            H=(np.array([[1.0]]), np.array([[-1.0]])))
-    result = technical_condition(modes)
-    assert result.v is None
-    assert "negative" in result.reason
+    with pytest.raises(ValueError, match="negative"):
+        technical_condition(modes)
 
 
 def test_direction_verifier_messages(rotation_witness):
@@ -559,3 +556,71 @@ def test_radius_precheck_is_the_same_with_a_stored_certificate():
         stored = build_witness(sys, rho=rho, radius_cert=cert)
         assert fresh.stage == stored.stage == "radius-precheck"
         assert fresh.reason == stored.reason
+
+
+def test_zero_horizon_raises_before_any_solve(monkeypatch):
+    def no_solve(problem):
+        raise AssertionError("a program was solved before the horizon check")
+
+    monkeypatch.setattr(sdp_engine, "solve", no_solve)
+    monkeypatch.setattr(worstcase, "solve", no_solve)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        build_witness(SystemData(A=rotation(np.pi / 2)), rho=1.0, horizon=0)
+
+
+def _raise_stub(*args, **kwargs):
+    raise ValueError("stub failure")
+
+
+_CLAIMED_BOUNDARY = types.SimpleNamespace(rho=1.0, attained=True)
+
+# (system, iqcs, rho, radius_cert, stubbed worstcase attribute, stage,
+#  reason, whether the outcome carries modes)
+_STAGE_CASES = [
+    (SystemData(A=[[1.0]], B=[[0.0]]), None, 1.0, None, None,
+     "radius-precheck",
+     "input matrix is not full column rank, which the factorization "
+     "argument requires", False),
+    (SystemData(A=[[2.0]]), IqcSet.from_matrices([[[1.0]]], dim=1), 2.0,
+     None, None, "radius-precheck",
+     "witness construction needs radius one: constraint partial sums do "
+     "not transfer across the geometric growth weighting", False),
+    (SystemData(A=rotation(1.0)), None, 1.5, None, None, "radius-precheck",
+     "computed radius (1) does not match the requested 1.5", False),
+    (SystemData(A=[[1.0]]), IqcSet.from_matrices([[[1.0]], [[-1.0]]], dim=1),
+     1.0, _CLAIMED_BOUNDARY, None, "dual-extraction",
+     "no constraint-compatible stationary dual matrix: "
+     "trace(Q M_1) = -1.000e+00", False),
+    (SystemData(A=np.kron(np.eye(2), rotation(0.8))),
+     IqcSet.from_matrices([np.diag([1.0, 0.0, 0.0, 0.0])]), 1.0, None, None,
+     "technical-condition",
+     "sign condition not certified (relaxation: relaxation optimum is not "
+     "rank one (top eigenvalue carries 0.270737 of the trace))", True),
+    (SystemData(A=rotation(1.0)), None, 1.0, None,
+     ("rank_factor", _raise_stub), "rank-factorization", "stub failure", False),
+    (SystemData(A=rotation(1.0)), None, 1.0, None,
+     ("recover_orthogonal_factor", lambda X, G: np.zeros((X.shape[1],) * 2)),
+     "orthogonal-factor",
+     "dual witness inconsistent: the stationary factor misses an "
+     "orthogonal transition by 1.000e+00", False),
+    (SystemData(A=rotation(1.0)), None, 1.0, None,
+     ("eigen_group", _raise_stub), "eigen-grouping", "stub failure", False),
+    (SystemData(A=rotation(1.0)), None, 1.0, None,
+     ("dynamics_residual", lambda sys, traj: 1.0), "trajectory-assembly",
+     "dynamics residual 1.000e+00 exceeds tolerance", True),
+]
+
+
+@pytest.mark.parametrize("sys, iqcs, rho, cert, stub, stage, reason, has_modes",
+                         _STAGE_CASES, ids=[c[5] for c in _STAGE_CASES])
+def test_every_failure_stage_and_reason(monkeypatch, sys, iqcs, rho, cert,
+                                        stub, stage, reason, has_modes):
+    """Each stage of ``build_witness`` fails under its own name with its
+    own reason; the four stages no public input reached are stubbed."""
+    if stub is not None:
+        monkeypatch.setattr(worstcase, *stub)
+    outcome = build_witness(sys, iqcs, rho=rho, radius_cert=cert)
+    assert not outcome.ok
+    assert (outcome.stage, outcome.reason) == (stage, reason)
+    assert (outcome.modes is not None) == has_modes
+    assert outcome.report is None and outcome.trajectory is None
