@@ -592,8 +592,9 @@ def cmd_worst_case(args) -> int:
 
 def _load_report(path: str) -> dict:
     doc = _read_json(path)
-    _require(doc.get("kind") in {"radius", "worst-case"},
-             f"{path}: not a report file (kind = {doc.get('kind')!r})")
+    kind = doc.get("kind")
+    _require(isinstance(kind, str) and kind in {"radius", "worst-case"},
+             f"{path}: not a report file (kind = {kind!r})")
     return doc
 
 
@@ -630,13 +631,12 @@ def cmd_verify(args) -> int:
     sys_data, iqcs = _need_system(prob)
     recorded_dims = report.get("problem", {})
     _require(isinstance(recorded_dims, dict), "problem: expected an object")
-    if (recorded_dims.get("n") != sys_data.n
-            or recorded_dims.get("m") != sys_data.m
-            or recorded_dims.get("iqc_count") != len(iqcs)):
+    n, m, count = (_as_count(recorded_dims.get(key), f"problem.{key}")
+                   for key in ("n", "m", "iqc_count"))
+    if (n, m, count) != (sys_data.n, sys_data.m, len(iqcs)):
         raise ProblemFormatError(
             f"mismatched dimensions: report was made for "
-            f"n={recorded_dims.get('n')}, m={recorded_dims.get('m')}, "
-            f"iqcs={recorded_dims.get('iqc_count')} but the problem has "
+            f"n={n}, m={m}, iqcs={count} but the problem has "
             f"n={sys_data.n}, m={sys_data.m}, iqcs={len(iqcs)}")
 
     failures: list[str] = []
@@ -690,8 +690,13 @@ def cmd_verify(args) -> int:
              f"rho {rho:.9g} in [{lo:.9g}, {hi:.9g}], upper end at the "
              f"certificate rate {rho_c:.9g}")
     else:
-        print("note: report carries no certificate matrix; "
-              "nothing to re-check there")
+        # Only a report without a certified rate may lack the matrix: the
+        # one written for status no-certificate, with rho and bracket[1] null.
+        rho, bracket = report.get("rho"), report.get("bracket")
+        item("headline-certificate", rho is None and isinstance(bracket, list)
+             and len(bracket) == 2 and bracket[1] is None,
+             f"no certificate matrix, so no rate may be claimed: rho "
+             f"{_fmt(rho)}, bracket {bracket!r} (need rho and bracket[1] null)")
 
     wit_blk = report.get("witness")
     if wit_blk is not None:

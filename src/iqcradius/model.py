@@ -270,11 +270,24 @@ def _lyapunov_stack(X: np.ndarray, sys: SystemData, rho: float,
     adjoint; no validation.  Each output matrix is the one the 2-D public
     function returns for that input.
     """
-    n, G = sys.n, sys.AB
+    return _rate_shift(_rate_free(X, sys, adjoint), X, sys.n, rho, adjoint)
+
+
+def _rate_free(X: np.ndarray, sys: SystemData, adjoint: bool = False) -> np.ndarray:
+    """The part of ``_lyapunov_stack`` that does not depend on the rate:
+    ``[A B] X [A B]'`` for the adjoint, ``[A B]' X [A B]`` for the operator."""
+    G = sys.AB
+    return G @ X @ G.T if adjoint else G.T @ X @ G
+
+
+def _rate_shift(product: np.ndarray, X: np.ndarray, n: int, rho: float,
+                adjoint: bool = False) -> np.ndarray:
+    """``_lyapunov_stack`` from its rate-free ``product``, which is left
+    unchanged: subtract ``rho^2`` times the state block, then symmetrize."""
     if adjoint:
-        out = G @ X @ G.T - rho * rho * X[:, :n, :n]
+        out = product - rho * rho * X[:, :n, :n]
     else:
-        out = G.T @ X @ G
+        out = product.copy()
         out[:, :n, :n] -= rho * rho * X
     return 0.5 * (out + out.swapaxes(1, 2))
 

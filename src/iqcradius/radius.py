@@ -32,6 +32,11 @@ later probe goes below it, so the search converges where counting it as
 at-or-below would.  ``rho`` is the midpoint of (highest ambiguous rate
 or proven lower end, proven upper end).
 
+Both programs are compiled once per call of :func:`spectral_radius`,
+each on its first use, and shared by the whole search and the attainment
+checks; a probe rewrites only the block that carries the rate (see
+``sdp_engine``).
+
 The first probes are ``bisect_tol`` and max(1, |eig|), doubling until
 an upper end is proven.  Then each rate is an Illinois (secant) step on
 the phase-I value t*(rho) between the nearest solved rates on each side
@@ -60,11 +65,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (IqcSet, SystemData, Trajectory, _lyapunov_stack,
-                    certificate_defect, lyapunov_adjoint, margin_matrix,
-                    simulate)
+                    certificate_defect, margin_matrix, simulate)
 from .sdp_engine import (TRACE_CAP, DualFeasibilityResult,
-                         MarginPrimalResult, dual_feasibility_margin,
-                         margin_point, solve_margin_primal)
+                         MarginPrimalResult, _Programs,
+                         dual_feasibility_margin, margin_point,
+                         solve_margin_primal)
 
 __all__ = [
     "RadiusCertificate",
@@ -167,7 +172,9 @@ def _certified_dual_slack(sys: SystemData, iqcs: IqcSet, rho: float,
     Qp = _unit_trace_psd(Q)
     if Qp is None:
         return -np.inf
-    slacks = [float(np.linalg.eigvalsh(lyapunov_adjoint(Qp, sys, rho))[0])]
+    Qs = 0.5 * (Qp + Qp.T)      # the arithmetic of lyapunov_adjoint, unchecked
+    slacks = [float(np.linalg.eigvalsh(
+        _lyapunov_stack(Qs[None], sys, rho, adjoint=True)[0])[0])]
     for M in iqcs:
         slacks.append(float(np.tensordot(Qp, M)))
     return min(slacks)
@@ -276,11 +283,12 @@ class _Search:
     ``points`` holds the (rate, t*) of every solve with a finite t*.
     """
 
-    def __init__(self, sys, iqcs, strict, solver):
+    def __init__(self, sys, iqcs, strict, solver, programs):
         self.sys = sys
         self.iqcs = iqcs
         self.strict = strict
         self.solver = solver
+        self.programs = programs
         self.count = 0
         self.ambiguous = 0
         self.lo = 0.0
@@ -320,14 +328,16 @@ class _Search:
         and classify the rate."""
         sys, iqcs = self.sys, self.iqcs
         self.count += 1
-        probe = dual_feasibility_margin(sys, iqcs, rate, solver=self.solver)
+        probe = dual_feasibility_margin(sys, iqcs, rate, solver=self.solver,
+                                        _programs=self.programs)
         if np.isfinite(probe.t_star):
             self.points.append((rate, probe.t_star))
         self.lo = max(self.lo, self._lower(rate, probe.Q))
         pairs = [_dual_certificate(sys, iqcs, rate, probe)]
         if self.lo < rate and not (pairs[0] is not None and _certified_above(
                 sys, iqcs, pairs[0], self.strict)):
-            pairs.append(solve_margin_primal(sys, iqcs, rate, solver=self.solver))
+            pairs.append(solve_margin_primal(sys, iqcs, rate, solver=self.solver,
+                                             _programs=self.programs))
         for pair in pairs:
             if pair is not None:
                 self._upper(rate, pair)
@@ -390,8 +400,9 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
     if not (0 < bisect_tol < np.inf and 0 < rho_max <= RHO_MAX_LIMIT):
         raise ValueError("bisect_tol must be finite and > 0, "
                          f"and rho_max in (0, {RHO_MAX_LIMIT:g}]")
-    strict = STRICT_EPS * (sys.scale() + iqcs.scale())
-    search = _Search(sys, iqcs, strict, solver)
+    programs = _Programs(sys, iqcs)
+    strict = STRICT_EPS * programs.scale
+    search = _Search(sys, iqcs, strict, solver, programs)
 
     def build(rho, lo, status="ok", message=""):
         cert = search.cert if status == "ok" else None
@@ -411,7 +422,8 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
                     attained = True
                     break
                 attained, point = attainment_check(sys, iqcs, rate,
-                                                   solver=solver)
+                                                   solver=solver,
+                                                   _programs=programs)
                 if attained:
                     break
         hi = float(search.hi) if cert else np.inf
@@ -476,7 +488,8 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
 
 
 def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
-                     solver=None) -> tuple[bool, MarginPrimalResult]:
+                     solver=None, _programs: _Programs | None = None
+                     ) -> tuple[bool, MarginPrimalResult]:
     """Whether the rate-rho inequality is feasible at rho itself.
 
     True iff the margin program at exactly rho produces a certificate
@@ -487,8 +500,10 @@ def attainment_check(sys: SystemData, iqcs: IqcSet, rho: float, *,
     failed solve without one reports False, never a false positive.
     """
     iqcs.check_matches(sys)
-    tol = STRICT_EPS * (sys.scale() + iqcs.scale())
-    result = solve_margin_primal(sys, iqcs, rho, solver=solver)
+    programs = _programs or _Programs(sys, iqcs)
+    result = solve_margin_primal(sys, iqcs, rho, solver=solver,
+                                 _programs=programs)
+    tol = STRICT_EPS * programs.scale
     return _attains(result, tol), result
 
 

@@ -17,6 +17,14 @@ in their matrix variables, so this module provides
   * the domain-level wrappers ``solve_margin_primal``,
     ``solve_margin_dual`` and ``dual_feasibility_margin``.
 
+The phase-I and margin programs depend on the rate only through one
+block, ``rho^2`` times a fixed stack plus a rate-free product (the GEVP
+form of Boyd, El Ghaoui, Feron & Balakrishnan, 1994, section 2.2.3), so
+each is compiled once per analysis, with its equality elimination
+(``_Programs``, which the radius search passes to every call).  A probe
+rewrites only the rate block, and its standard form is byte for byte
+the one a fresh build compiles.
+
 Compilation packs every PSD constraint and scalar inequality into the
 diagonal blocks of one ``D x D`` matrix, so each iterate S, Z and each
 coefficient F_i is a single block-diagonal matrix and an iteration is a
@@ -51,12 +59,14 @@ Lyapunov maps, so a substituted solver never calls back into the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import IqcSet, SystemData, _lyapunov_stack, margin_matrix
+from .model import (IqcSet, SystemData, _lyapunov_stack, _rate_free,
+                    _rate_shift)
 
 __all__ = [
     "SdpProblem",
@@ -144,6 +154,7 @@ class SdpProblem:
         self._psd: list[tuple[int, np.ndarray, list, str]] = []
         self._ineq: list[tuple[int, np.ndarray, list, str]] = []
         self._eq: list[tuple[int, np.ndarray, list]] = []
+        self._compiled: _Compiled | None = None    # set for one rate of a prepared program
 
     # -- variables ---------------------------------------------------
     def add_sym_var(self, name: str, dim: int) -> str:
@@ -213,6 +224,8 @@ class SdpProblem:
 
     # -- compilation ---------------------------------------------------
     def compile(self):
+        if self._compiled is not None:
+            return self._compiled
         spans, p = dict(self._spans), self._p
         entries = [entry for entry in self._psd if entry[0]] + self._ineq
         blocks = [dim for dim, *_ in entries]
@@ -242,7 +255,7 @@ class SdpProblem:
                 A_eq[rs, slice(*spans[name])] += a.reshape(len(a), dim * dim)[:, upper].T
             r = rs.stop
 
-        return _Compiled(self, spans, p, blocks, [label for *_, label in entries],
+        return _Compiled(spans, p, blocks, [label for *_, label in entries],
                          F0, cols, c, self._obj_const, A_eq, b_eq)
 
     def extract(self, name: str, y: np.ndarray, spans) -> np.ndarray | float:
@@ -264,10 +277,10 @@ class _Compiled:
     ``F0`` and each ``cols[k]`` are ``D x D`` with ``D = sum(blocks)``; the
     diagonal blocks, in the order of ``blocks`` and ``labels``, are the PSD
     constraints followed by the scalar inequalities, and every entry off
-    those blocks is zero.
+    those blocks is zero.  ``elimination`` is :func:`_eliminate` of this
+    form when it was computed ahead of the solve.
     """
 
-    problem: SdpProblem
     spans: dict
     p: int
     blocks: list
@@ -278,6 +291,21 @@ class _Compiled:
     obj_const: float
     A_eq: np.ndarray
     b_eq: np.ndarray
+    elimination: tuple | None = None
+
+
+def _eliminate(comp: _Compiled) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(y0, N, residual)``: the points y0 + N z, z free, are the solutions
+    of ``A_eq y = b_eq`` when ``residual``, that of the least-squares y0, is
+    zero up to rounding.  Without equalities y0 = 0 and N = I."""
+    if not comp.A_eq.shape[0]:
+        return np.zeros(comp.p), np.eye(comp.p), 0.0
+    y0, *_ = np.linalg.lstsq(comp.A_eq, comp.b_eq, rcond=None)
+    resid = float(np.linalg.norm(comp.A_eq @ y0 - comp.b_eq))
+    _, sv, Vt = np.linalg.svd(comp.A_eq)
+    tol = max(comp.A_eq.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    rank = int(np.sum(sv > tol))
+    return y0, Vt[rank:].T, resid     # N is (p, p - rank)
 
 
 @dataclass
@@ -333,22 +361,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
     comp = problem.compile()
 
     # Eliminate equality constraints by restricting to their affine set.
-    p = comp.p
-    if comp.A_eq.shape[0]:
-        y0, *_ = np.linalg.lstsq(comp.A_eq, comp.b_eq, rcond=None)
-        resid = np.linalg.norm(comp.A_eq @ y0 - comp.b_eq)
-        if resid > 1e-9 * (1.0 + np.linalg.norm(comp.b_eq)):
-            return SdpSolution(
-                status="infeasible", objective=np.nan, values={},
-                residuals={"eq_residual": float(resid)}, iterations=0,
-                message="equality constraints are inconsistent")
-        U, sv, Vt = np.linalg.svd(comp.A_eq)
-        tol = max(comp.A_eq.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-        rank = int(np.sum(sv > tol))
-        N = Vt[rank:].T    # (p, p - rank)
-    else:
-        y0 = np.zeros(p)
-        N = np.eye(p)
+    y0, N, resid = comp.elimination or _eliminate(comp)
+    if resid > 1e-9 * (1.0 + np.linalg.norm(comp.b_eq)):
+        return SdpSolution(
+            status="infeasible", objective=np.nan, values={},
+            residuals={"eq_residual": resid}, iterations=0,
+            message="equality constraints are inconsistent")
 
     pz = N.shape[1]
     blocks = comp.blocks
@@ -546,7 +564,43 @@ class DualFeasibilityResult:
     solution: SdpSolution
 
 
-def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float) -> SdpProblem:
+class _RateProgram:
+    """A program whose rate enters one term only, compiled once.
+
+    ``problem`` leaves that term out (``L_rho*`` of the basis of Q in phase
+    I, ``-L_rho`` of the basis of P in the margin program), and ``comp`` is
+    its standard form with the equality elimination; the arrays that every
+    rate shares are read-only.  :meth:`at` writes the term for one rate
+    with the arithmetic of a fresh build: the ``_lyapunov_stack`` formula,
+    then compile's symmetrized ``+=`` into zeros.
+    """
+
+    def __init__(self, problem: SdpProblem, var: str, label: str,
+                 basis: np.ndarray, sys: SystemData, adjoint: bool):
+        comp = problem.compile()
+        comp.elimination = _eliminate(comp)
+        for a in (comp.F0, comp.c, comp.A_eq, comp.b_eq, *comp.elimination[:2]):
+            a.setflags(write=False)
+        self.problem, self.comp, self.basis = problem, comp, basis
+        self.var = slice(*comp.spans[var])          # the coordinates of Q or P
+        self.block = _block_slices(comp.blocks)[comp.labels.index(label)]
+        self.product = _rate_free(basis, sys, adjoint)
+        self.n, self.adjoint = sys.n, adjoint
+
+    def at(self, rho: float) -> SdpProblem:
+        """The program at rate ``rho``; its ``compile()`` returns the form."""
+        a = _rate_shift(self.product, self.basis, self.n, rho, self.adjoint)
+        if not self.adjoint:
+            a = -a
+        cols = self.comp.cols.copy()
+        cols[self.var, self.block, self.block] += 0.5 * (a + a.swapaxes(1, 2))
+        pb = copy.copy(self.problem)
+        pb._compiled = replace(self.comp, cols=cols)
+        return pb
+
+
+def _prepare_margin(sys: SystemData, iqcs: IqcSet) -> _RateProgram:
+    """The margin program of :func:`solve_margin_primal`, over all rates."""
     n, d = sys.n, sys.n + sys.m
     E = svec_basis(n)
     pb = SdpProblem()
@@ -554,7 +608,8 @@ def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float) -> SdpProblem:
     pb.add_sym_var("P", n)
     lams = [pb.add_scalar_var(f"lam{i}") for i in range(len(iqcs))]
     pb.minimize([("s", [1.0])])
-    pb.add_psd(d, None, [("s", np.eye(d)[None]), ("P", -_lyapunov_stack(E, sys, rho))]
+    # Its term -L_rho(P) is written by _RateProgram.at.
+    pb.add_psd(d, None, [("s", np.eye(d)[None])]
                + [(lam, -M[None]) for lam, M in zip(lams, iqcs)], label="margin")
     pb.add_psd(n, -np.eye(n), [("P", E)], label="P_minus_I")
     for lam in lams:
@@ -562,11 +617,59 @@ def _margin_problem(sys: SystemData, iqcs: IqcSet, rho: float) -> SdpProblem:
     pb.add_scalar_ineq(-MARGIN_FLOOR, [("s", [1.0])], label="floor")
     pb.add_scalar_ineq(TRACE_CAP, [("P", -np.trace(E, axis1=1, axis2=2))]
                        + [(lam, [-1.0]) for lam in lams], label="cap")
-    return pb
+    return _RateProgram(pb, "P", "margin", E, sys, adjoint=False)
+
+
+def _prepare_phase1(sys: SystemData, iqcs: IqcSet, scale: float) -> _RateProgram:
+    """The phase-I program of :func:`dual_feasibility_margin`, over all
+    rates; ``scale`` is ``sys.scale() + iqcs.scale()``."""
+    n, d = sys.n, sys.n + sys.m
+    E = svec_basis(d)
+    pb = SdpProblem()
+    pb.add_sym_var("Q", d)
+    pb.add_scalar_var("t")
+    pb.minimize([("t", [-1.0])])
+    # Its term L_rho*(Q) is written by _RateProgram.at.
+    pb.add_psd(n, None, [("t", -np.eye(n)[None])], label="adjoint")
+    pb.add_psd(d, None, [("Q", E)], label="Q_psd")
+    for i, M in enumerate(iqcs):
+        pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M)), ("t", [-1.0])],
+                           label=f"iqc{i}")
+    # Caps t at ten times the problem scale, above any slack a trace-1 Q
+    # attains, so the row never binds at the optimum.
+    pb.add_scalar_ineq(10.0 * scale, [("t", [-1.0])], label="tcap")
+    pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
+    return _RateProgram(pb, "Q", "adjoint", E, sys, adjoint=True)
+
+
+class _Programs:
+    """The phase-I and margin programs of one system, for one analysis.
+
+    Each is prepared on its first use and then only has its rate term
+    written at every later rate.  ``scale`` is ``sys.scale() +
+    iqcs.scale()``, computed once.
+    """
+
+    def __init__(self, sys: SystemData, iqcs: IqcSet):
+        self.sys, self.iqcs = sys, iqcs
+        self.scale = sys.scale() + iqcs.scale()
+        self._phase1: _RateProgram | None = None
+        self._margin: _RateProgram | None = None
+
+    def phase1(self, rho: float) -> SdpProblem:
+        if self._phase1 is None:
+            self._phase1 = _prepare_phase1(self.sys, self.iqcs, self.scale)
+        return self._phase1.at(rho)
+
+    def margin(self, rho: float) -> SdpProblem:
+        if self._margin is None:
+            self._margin = _prepare_margin(self.sys, self.iqcs)
+        return self._margin.at(rho)
 
 
 def solve_margin_primal(sys: SystemData, iqcs: IqcSet, rho: float, *,
-                        solver: SolverFn | None = None) -> MarginPrimalResult:
+                        solver: SolverFn | None = None,
+                        _programs: _Programs | None = None) -> MarginPrimalResult:
     """Minimal margin s with sI >= L_rho(P) + sum l_i M_i, P >= I, l >= 0.
 
     The raw program is unbounded below whenever it is strictly feasible
@@ -578,7 +681,8 @@ def solve_margin_primal(sys: SystemData, iqcs: IqcSet, rho: float, *,
     iqcs.check_matches(sys)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    sol = (solver or solve)(_margin_problem(sys, iqcs, rho))
+    programs = _programs or _Programs(sys, iqcs)
+    sol = (solver or solve)(programs.margin(rho))
     P = np.asarray(sol.values.get("P", np.eye(sys.n)))
     lams = np.array([float(sol.values.get(f"lam{i}", 0.0)) for i in range(len(iqcs))])
     return margin_point(sys, iqcs, rho, P, lams, sol,
@@ -591,12 +695,17 @@ def margin_point(sys: SystemData, iqcs: IqcSet, rho: float, P: np.ndarray,
     """The point (P, max(lambda, 0)) of the margin program at rate ``rho``.
 
     ``margin_check`` is the largest eigenvalue of the rate-rho inequality
-    matrix, recomputed here.  ``s_star`` is the solver's margin when the
+    matrix, recomputed here with the arithmetic of ``margin_matrix`` but
+    none of its input checks.  ``s_star`` is the solver's margin when the
     point came from a margin solve; otherwise it is the best margin of the
     point itself, ``max(margin_check, MARGIN_FLOOR)``.
     """
     lams = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
-    H = margin_matrix(sys, iqcs, rho, P, lams)
+    Pf = np.asarray(P, dtype=float)
+    Ps = 0.5 * (Pf + Pf.T)
+    H = _lyapunov_stack(Ps[None], sys, rho)[0]
+    for lam, M in zip(lams, iqcs):
+        H = H + lam * M
     margin_check = float(np.linalg.eigvalsh(H)[-1])
     s = max(margin_check, MARGIN_FLOOR) if s_star is None else s_star
     floor_active = s <= MARGIN_FLOOR + 1e-6 * (1 + abs(MARGIN_FLOOR))
@@ -607,7 +716,9 @@ def margin_point(sys: SystemData, iqcs: IqcSet, rho: float, P: np.ndarray,
 
 
 def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float, *,
-                            solver: SolverFn | None = None) -> DualFeasibilityResult:
+                            solver: SolverFn | None = None,
+                            _programs: _Programs | None = None
+                            ) -> DualFeasibilityResult:
     """Phase-I slack of the dual constraint system at rate ``rho``.
 
     Maximizes t subject to L_rho*(Q) >= tI, trace(Q M_i) >= t, Q >= 0,
@@ -617,24 +728,8 @@ def dual_feasibility_margin(sys: SystemData, iqcs: IqcSet, rho: float, *,
     iqcs.check_matches(sys)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    n, d = sys.n, sys.n + sys.m
-    E = svec_basis(d)
-    pb = SdpProblem()
-    pb.add_sym_var("Q", d)
-    pb.add_scalar_var("t")
-    pb.minimize([("t", [-1.0])])
-    pb.add_psd(n, None, [("Q", _lyapunov_stack(E, sys, rho, adjoint=True)),
-                         ("t", -np.eye(n)[None])], label="adjoint")
-    pb.add_psd(d, None, [("Q", E)], label="Q_psd")
-    for i, M in enumerate(iqcs):
-        pb.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M)), ("t", [-1.0])],
-                           label=f"iqc{i}")
-    # Caps t at ten times the problem scale, above any slack a trace-1 Q
-    # attains, so the row never binds at the optimum.
-    tcap = 10.0 * (sys.scale() + iqcs.scale())
-    pb.add_scalar_ineq(tcap, [("t", [-1.0])], label="tcap")
-    pb.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
-    sol = (solver or solve)(pb)
+    programs = _programs or _Programs(sys, iqcs)
+    sol = (solver or solve)(programs.phase1(rho))
     t = float(sol.values.get("t", np.nan))
     Q = sol.values.get("Q")
     if Q is not None:
@@ -653,9 +748,10 @@ def solve_margin_dual(sys: SystemData, iqcs: IqcSet, rho: float, *,
     iqcs.check_matches(sys)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    phase1 = dual_feasibility_margin(sys, iqcs, rho, solver=solver)
-    scale = sys.scale() + iqcs.scale()
-    if phase1.t_star < -1e-7 * scale:
+    programs = _Programs(sys, iqcs)
+    phase1 = dual_feasibility_margin(sys, iqcs, rho, solver=solver,
+                                     _programs=programs)
+    if phase1.t_star < -1e-7 * programs.scale:
         return MarginDualResult(d_star=-np.inf, Q=None, status="infeasible",
                                 infeasibility_margin=phase1.t_star, solution=None)
     n, d = sys.n, sys.n + sys.m

@@ -360,6 +360,18 @@ def _integer_beyond_float_margin(doc):
     doc["margins"]["certificate"]["certificate_eig"] = 10 ** 400
 
 
+def _list_as_kind(doc):
+    doc["kind"] = []
+
+
+def _object_as_kind(doc):
+    doc["kind"] = {}
+
+
+def _word_as_state_count(doc):
+    doc["problem"]["n"] = "2"
+
+
 @pytest.mark.parametrize("corrupt, code, expected", [
     (_null_certificate_eig, 4, "FAIL lyapunov-margin-reproduces"),
     (_group_without_real_part, 1, "error: witness.groups[0]: missing field 'W_re'"),
@@ -391,6 +403,9 @@ def _integer_beyond_float_margin(doc):
     (_number_as_witness, 1, "error: witness: expected an object"),
     (_list_as_problem, 1, "error: problem: expected an object"),
     (_integer_beyond_float_margin, 4, "FAIL lyapunov-margin-reproduces"),
+    (_list_as_kind, 1, "not a report file (kind = [])"),
+    (_object_as_kind, 1, "not a report file (kind = {})"),
+    (_word_as_state_count, 1, "error: problem.n: expected an integer, got '2'"),
 ])
 def test_verify_malformed_report(tmp_path, corrupt, code, expected):
     problem = write(tmp_path, "p.json", ROTATION)
@@ -418,6 +433,33 @@ def rotation_iqc_report(tmp_path_factory):
 def verify_doc(tmp_path, doc, problem):
     path = write(tmp_path, "edited.json", doc)
     return run("verify", path, problem)
+
+
+def test_verify_without_a_certificate_claims_no_rate(tmp_path):
+    """A report without a certificate matrix passes only as the package
+    writes it for no-certificate: rho and the bracket's upper end null."""
+    gd = write(tmp_path, "gd.json", GD)
+    report = tmp_path / "gd-report.json"
+    assert run("radius", gd, "--out", str(report))[0] == 0
+    doc = json.loads(report.read_text())
+    doc["certificate"]["P"] = None
+    doc.update(rho=0.1, bracket=[0.05, 0.1])
+    code, out = verify_doc(tmp_path, doc, gd)
+    assert code == 4, out
+    assert "FAIL headline-certificate" in out
+
+    growing = write(tmp_path, "growing.json", {"dims": {"n": 1, "m": 0}, "A": mat([[2.0]])})
+    report = tmp_path / "growing-report.json"
+    assert run("radius", growing, "--rho-max", "1.5", "--out", str(report))[0] == 2
+    code, out = run("verify", str(report), growing)
+    assert code == 0, out
+    assert "PASS headline-certificate" in out
+    doc = json.loads(report.read_text())
+    assert doc["certificate"]["P"] is None and doc["rho"] is None
+    doc["bracket"][1] = 1.5
+    code, out = verify_doc(tmp_path, doc, growing)
+    assert code == 4, out
+    assert "FAIL headline-certificate" in out
 
 
 def _witness_corruptions(witness):

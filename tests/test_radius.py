@@ -335,6 +335,43 @@ def test_attainment_solves_when_the_stored_certificate_fails(case, attained):
     assert cert.attained == attainment_check(sys, iqcs, rate)[0]
 
 
+@pytest.mark.parametrize("case, margin_reused", [
+    (gradient_instance(0.1), False),
+    (_jordan_block(), True),    # fallback probes and the attainment check
+])
+def test_each_program_is_prepared_once_per_radius(monkeypatch, case, margin_reused):
+    """The search and its attainment checks prepare the phase-I and the
+    margin program at most once each, and solve them at every probed rate."""
+    sys, iqcs = case
+    prepared = {"phase1": 0, "margin": 0}
+    solved = {"adjoint": [], "margin": []}
+
+    def counting(name, prepare):
+        def run(*args):
+            prepared[name] += 1
+            return prepare(*args)
+        return run
+
+    def solver(problem):
+        comp = problem.compile()
+        for label, seen in solved.items():
+            if label in comp.labels:
+                seen.append(problem)
+        return sdp_engine.solve(problem)
+
+    monkeypatch.setattr(sdp_engine, "_prepare_phase1",
+                        counting("phase1", sdp_engine._prepare_phase1))
+    monkeypatch.setattr(sdp_engine, "_prepare_margin",
+                        counting("margin", sdp_engine._prepare_margin))
+    cert = spectral_radius(sys, iqcs, solver=solver)
+    assert len(solved["adjoint"]) == cert.probes > 1
+    assert (len(solved["margin"]) > 1) is margin_reused
+    assert prepared == {"phase1": 1, "margin": int(len(solved["margin"]) > 0)}
+    # One problem per solve, each with its own coefficients.
+    problems = solved["adjoint"] + solved["margin"]
+    assert len({id(pb.compile().cols) for pb in problems}) == len(problems)
+
+
 @settings(max_examples=20)
 @given(n=st.integers(1, 4), m=st.integers(0, 1), with_iqc=st.booleans(),
        seed=st.integers(0, 2**32 - 1))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from iqcradius import worstcase
-from iqcradius.model import IqcSet, SystemData, lyapunov_adjoint, lyapunov_operator
+from iqcradius.model import (IqcSet, SystemData, _lyapunov_stack, lyapunov_adjoint,
+                             lyapunov_operator)
 from iqcradius.radius import margin_matrix
 from iqcradius.sdp_engine import (
     MARGIN_FLOOR,
@@ -15,6 +16,7 @@ from iqcradius.sdp_engine import (
     SdpProblem,
     SdpSolution,
     _max_steps,
+    _Programs,
     dual_feasibility_margin,
     solve,
     solve_margin_dual,
@@ -232,6 +234,88 @@ def test_programs_compile_like_per_element_references():
             for field in ("F0", "cols", "c", "A_eq", "b_eq"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def _fresh_programs(sys, iqcs, rho):
+    """The margin and phase-I programs at one rate, each stated with its
+    rate term and compiled from scratch."""
+    n, d = sys.n, sys.n + sys.m
+    E = svec_basis(n)
+    margin = SdpProblem()
+    margin.add_scalar_var("s")
+    margin.add_sym_var("P", n)
+    lams = [margin.add_scalar_var(f"lam{i}") for i in range(len(iqcs))]
+    margin.minimize([("s", [1.0])])
+    margin.add_psd(d, None, [("s", np.eye(d)[None]), ("P", -_lyapunov_stack(E, sys, rho))]
+                   + [(lam, -M[None]) for lam, M in zip(lams, iqcs)], label="margin")
+    margin.add_psd(n, -np.eye(n), [("P", E)], label="P_minus_I")
+    for lam in lams:
+        margin.add_scalar_ineq(0.0, [(lam, [1.0])], label=f"{lam}_nonneg")
+    margin.add_scalar_ineq(-MARGIN_FLOOR, [("s", [1.0])], label="floor")
+    margin.add_scalar_ineq(TRACE_CAP, [("P", -np.trace(E, axis1=1, axis2=2))]
+                           + [(lam, [-1.0]) for lam in lams], label="cap")
+
+    E = svec_basis(d)
+    phase1 = SdpProblem()
+    phase1.add_sym_var("Q", d)
+    phase1.add_scalar_var("t")
+    phase1.minimize([("t", [-1.0])])
+    phase1.add_psd(n, None, [("Q", _lyapunov_stack(E, sys, rho, adjoint=True)),
+                             ("t", -np.eye(n)[None])], label="adjoint")
+    phase1.add_psd(d, None, [("Q", E)], label="Q_psd")
+    for i, M in enumerate(iqcs):
+        phase1.add_scalar_ineq(0.0, [("Q", np.tensordot(E, M)), ("t", [-1.0])],
+                               label=f"iqc{i}")
+    phase1.add_scalar_ineq(10.0 * (sys.scale() + iqcs.scale()), [("t", [-1.0])],
+                           label="tcap")
+    phase1.add_scalar_eq(-1.0, [("Q", np.trace(E, axis1=1, axis2=2))])
+    return margin.compile(), phase1.compile()
+
+
+def _assert_same_form(got, want):
+    assert (got.blocks, got.labels, got.spans) == (want.blocks, want.labels, want.spans)
+    for field in ("F0", "cols", "c", "A_eq", "b_eq"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+@st.composite
+def _systems(draw):
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = SystemData(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+    mats = [M + M.T for M in rng.normal(size=(k, n + m, n + m))]
+    return sys, IqcSet.from_matrices(mats, dim=n + m)
+
+
+@given(_systems(), st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=4))
+def test_prepared_programs_compile_like_fresh_builds(case, rates):
+    """One prepared pair of programs, reused over several rates, gives at
+    each rate the standard form of a fresh build byte for byte, and so do
+    the public calls, which prepare their program for that rate alone."""
+    sys, iqcs = case
+    programs = _Programs(sys, iqcs)
+    captured = []
+
+    def spy(pb):
+        captured.append(pb.compile())
+        values = {name: pb.extract(name, np.zeros(captured[-1].p), captured[-1].spans)
+                  for name in captured[-1].spans}
+        return SdpSolution("optimal", 0.0, values, {}, 0)
+
+    forms = []
+    for rho in rates:
+        solve_margin_primal(sys, iqcs, rho, solver=spy)
+        dual_feasibility_margin(sys, iqcs, rho, solver=spy)
+        forms.append((programs.margin(rho).compile(), programs.phase1(rho).compile(),
+                      *captured[-2:]))
+    # Compared after every rate is written, so no rate's form aliases another's.
+    for rho, (margin, phase1, public_margin, public_phase1) in zip(rates, forms):
+        fresh_margin, fresh_phase1 = _fresh_programs(sys, iqcs, rho)
+        for got in (margin, public_margin):
+            _assert_same_form(got, fresh_margin)
+        for got in (phase1, public_phase1):
+            _assert_same_form(got, fresh_phase1)
 
 
 def test_margin_primal_strictly_feasible_runs_to_floor():
