@@ -14,10 +14,10 @@ an ``options`` block overriding default tolerances.
 Reports are JSON documents with sorted keys and fixed formatting, so
 identical inputs and flags produce byte-identical files.  A report
 records the computed radius, bracket, attainment, the certificate
-``(P, lambda)``, the stability verdict, the full witness when one was
-found (``Q``, ``X``, ``U``, ``F``, eigen-groups with their angles and
-basis columns, ``v``, the feedback gain, the hard-constraint shift and
-the constraint lower bounds), and the verification margins that
+``(P, lambda)`` with its rate, the stability verdict, the full witness
+when one was found (``X``, ``U``, ``F``, eigen-groups with their angles
+and basis columns, ``v``, the feedback gain, the hard-constraint shift
+and the constraint lower bounds), and the verification margins that
 ``verify`` re-checks.  Eigen-group bases are stored as separate real
 and imaginary parts so reports round-trip exactly.
 
@@ -28,11 +28,16 @@ recomputed number never matches.  The certificate must pass the test
 that admitted it in the search (``model.certificate_defect``, bound
 -0.5 ``radius.STRICT_EPS`` scale) at ``rho_cert``, a finite positive
 rate (exit 1 otherwise) that must be the bracket's upper end, with
-``rho`` inside the bracket.  It rejects a witness
-block whose arrays do not have the shapes that ``n``, ``m`` and the
-columns ``d`` of ``X`` give (exit 1), and it re-checks the recorded
-eigen-groups against ``F`` (``worstcase.verify_groups``) before the
-sign condition.
+``rho`` inside the bracket.  ``status`` is ``ok`` exactly with a
+certificate matrix, ``stage`` (one of ``worstcase.STAGES``) is
+``complete`` exactly with a witness, and ``pointwise`` must equal
+``worstcase.pointwise_check``.  It rejects a witness block whose arrays
+do not have the shapes that ``n``, ``m`` and ``X`` give (exit 1), and
+it re-checks the recorded eigen-groups against ``F``
+(``worstcase.verify_groups``) before the sign condition.  Not
+re-checked yet: ``verdict``, ``attained``, ``bracket[0]``,
+``hard_shift`` and which failing stage is named; ``options``,
+``message``, ``reasons``, ``reason`` and ``notes`` are annotations.
 
 Exit codes:
 
@@ -71,10 +76,12 @@ from .model import (DimensionMismatchError, IqcSet, SystemData,
 from .radius import RHO_MAX_LIMIT, STRICT_EPS, classify, spectral_radius
 from .verify import CHECK_HORIZON, check_witness
 from .worstcase import (
+    STAGES,
     EigenGroup,
     WitnessReport,
     WorstCaseModes,
     build_witness,
+    pointwise_check,
     verify_direction,
     verify_groups,
 )
@@ -97,6 +104,11 @@ _OPTION_DEFAULTS = {"horizon": DEFAULT_HORIZON, "rho_max": DEFAULT_RHO_MAX,
                     "tol": DEFAULT_TOL}
 _OPTION_KEYS = tuple(_OPTION_DEFAULTS)
 _FILTER_KEYS = ("A_psi", "B_psi1", "B_psi2", "C_psi", "D_psi1", "D_psi2", "M")
+# The keys of a report's witness block and of each eigen-group, in the
+# order the writer zips its values with them and the reader unpacks them.
+_WITNESS_KEYS = ("X", "U", "F", "groups", "v", "gain", "iqc_lower_bounds",
+                 "hard_shift", "pointwise", "growth", "notes")
+_GROUP_KEYS = ("theta", "W_re", "W_im")
 
 
 class ProblemFormatError(ValueError):
@@ -149,13 +161,9 @@ def _matrix_from_json(obj, field: str, shape=None) -> np.ndarray:
                  f"{field}: expected {rows * cols} entries for "
                  f"{rows}x{cols}, got {len(data)}")
         flat = data
-    try:
-        arr = np.asarray(flat, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{field}: entries must be numbers "
-                                 f"({exc})") from None
-    _require(bool(np.all(np.isfinite(arr))) if arr.size else True,
-             f"{field}: entries must be finite")
+    _require(all(map(_is_number, flat)), f"{field}: entries must be numbers")
+    arr = np.asarray(flat, dtype=float).reshape(rows, cols)
+    _require(np.isfinite(arr).all(), f"{field}: entries must be finite")
     if shape is not None:
         _require(arr.shape == shape,
                  f"{field}: expected {shape[0]}x{shape[1]}, got {rows}x{cols}")
@@ -200,12 +208,8 @@ def _as_number(value, field: str) -> float:
 
 def _vector_from_json(obj, field: str) -> np.ndarray:
     _require(isinstance(obj, list), f"{field}: expected a list of numbers")
-    try:
-        arr = np.asarray(obj, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{field}: entries must be numbers "
-                                 f"({exc})") from None
-    return arr
+    _require(all(map(_is_number, obj)), f"{field}: entries must be numbers")
+    return np.asarray(obj, dtype=float)
 
 
 def _num(x) -> float | None:
@@ -369,20 +373,16 @@ def _need_system(prob: Problem) -> tuple[SystemData, IqcSet]:
 
 
 def _certificate_json(cert) -> dict:
-    return {
-        "P": None if cert.P is None else _matrix_to_json(cert.P),
-        "lambdas": None if cert.lambdas is None
-        else [float(x) for x in np.asarray(cert.lambdas).reshape(-1)],
-        "rho_cert": None if cert.rho_cert is None else _num(cert.rho_cert),
-        "margin": _num(cert.margin),
-    }
+    if cert.P is None:      # no certificate: no multipliers and no rate either
+        return dict.fromkeys(("P", "lambdas", "rho_cert"))
+    return {"P": _matrix_to_json(cert.P), "rho_cert": _num(cert.rho_cert),
+            "lambdas": [float(x) for x in np.asarray(cert.lambdas).reshape(-1)]}
 
 
 def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, rho_c: float,
                          P, lambdas) -> dict:
     """Largest eigenvalue of the rate-rho_c inequality matrix, smallest of P."""
-    lambdas = (np.zeros(len(iqcs)) if lambdas is None
-               else np.asarray(lambdas, dtype=float).reshape(-1))
+    lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
     W = margin_matrix(sys_data, iqcs, rho_c, P, lambdas)
     eig = float(np.linalg.eigvalsh(W)[-1])
     pmin = float(np.linalg.eigvalsh(np.asarray(P))[0])
@@ -392,7 +392,6 @@ def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, rho_c: float,
 def _report(kind: str, sys_data: SystemData, iqcs: IqcSet, cert,
             options: dict) -> dict:
     """The fields that ``radius`` and ``worst-case`` reports share."""
-    rho_c = cert.rho_cert if cert.rho_cert is not None else cert.rho
     return {
         "kind": kind,
         "problem": {"n": sys_data.n, "m": sys_data.m,
@@ -403,7 +402,7 @@ def _report(kind: str, sys_data: SystemData, iqcs: IqcSet, cert,
         "attained": bool(cert.attained),
         "certificate": _certificate_json(cert),
         "margins": {"certificate": None if cert.P is None else
-                    _certificate_margins(sys_data, iqcs, rho_c, cert.P,
+                    _certificate_margins(sys_data, iqcs, cert.rho_cert, cert.P,
                                          cert.lambdas)},
         "witness": None,
     }
@@ -411,28 +410,22 @@ def _report(kind: str, sys_data: SystemData, iqcs: IqcSet, cert,
 
 def _witness_json(report: WitnessReport) -> dict:
     modes = report.modes
-    groups = [{
-        "theta": float(g.theta),
-        "multiplicity": int(g.multiplicity),
-        "W_re": _matrix_to_json(g.W.real),
-        "W_im": _matrix_to_json(g.W.imag),
-    } for g in modes.groups]
-    return {
-        "d": int(modes.d),
-        "Q": _matrix_to_json(modes.Q),
-        "X": _matrix_to_json(modes.X),
-        "U": _matrix_to_json(modes.U),
-        "F": _matrix_to_json(modes.F),
-        "groups": groups,
-        "v": [float(x) for x in np.asarray(modes.v).reshape(-1)],
-        "gain": None if report.gain is None else _matrix_to_json(report.gain),
-        "iqc_lower_bounds": [float(x) for x in report.iqc_lower_bounds],
-        "hard_shift": None if report.hard_shift is None
-        else int(report.hard_shift),
-        "pointwise": bool(report.pointwise),
-        "growth": float(report.growth),
-        "notes": list(report.notes),
-    }
+    groups = [dict(zip(_GROUP_KEYS, (float(g.theta), _matrix_to_json(g.W.real),
+                                     _matrix_to_json(g.W.imag))))
+              for g in modes.groups]
+    return dict(zip(_WITNESS_KEYS, (
+        _matrix_to_json(modes.X),
+        _matrix_to_json(modes.U),
+        _matrix_to_json(modes.F),
+        groups,
+        [float(x) for x in np.asarray(modes.v).reshape(-1)],
+        None if report.gain is None else _matrix_to_json(report.gain),
+        [float(x) for x in report.iqc_lower_bounds],
+        None if report.hard_shift is None else int(report.hard_shift),
+        bool(report.pointwise),
+        float(report.growth),
+        list(report.notes),
+    )))
 
 
 def _witness_margins(wc) -> dict:
@@ -448,60 +441,51 @@ def _witness_margins(wc) -> dict:
 
 def _witness_from_json(blk: dict, sys_data: SystemData,
                        iqcs: IqcSet) -> WitnessReport:
-    """Parse a report's witness block.  ``d`` is the column count of
-    ``X``; every other array must have the shape that ``n``, ``m``, ``d``
-    and its group's column count ``k`` give."""
-    for key in ("d", "Q", "X", "U", "F", "groups", "v", "gain",
-                "iqc_lower_bounds", "hard_shift", "pointwise", "growth",
-                "notes"):
+    """Parse a report's witness block into modes without ``Q``.  ``d`` is
+    the column count of ``X``; every other array must have the shape that
+    ``n``, ``m``, ``d`` and ``W_re`` give.  Other keys, such as an earlier
+    release's ``d``, ``Q`` and ``multiplicity``, are ignored."""
+    for key in _WITNESS_KEYS:
         _require(key in blk, f"report witness: missing field '{key}'")
-    n, m = sys_data.n, sys_data.m
-    X = _matrix_from_json(blk["X"], "witness.X")
-    d = _as_count(blk["d"], "witness.d")
-    _require(d == X.shape[1],
-             f"witness.d: is {d}, but witness.X has {X.shape[1]} columns")
-    _require(X.shape[0] == n,
-             f"witness.X: expected {n} rows, got {X.shape[0]}")
-    Q = _matrix_from_json(blk["Q"], "witness.Q", (n + m, n + m))
-    U = _matrix_from_json(blk["U"], "witness.U", (m, d))
-    F = _matrix_from_json(blk["F"], "witness.F", (d, d))
-    v = _vector_from_json(blk["v"], "witness.v")
+    X, U, F, raw_groups, v, gain, bounds, hard_shift, pointwise, growth, \
+        notes = (blk[key] for key in _WITNESS_KEYS)
+    X = _matrix_from_json(X, "witness.X")
+    n, m, d = sys_data.n, sys_data.m, X.shape[1]
+    _require(X.shape[0] == n, f"witness.X: expected {n} rows, got {X.shape[0]}")
+    U = _matrix_from_json(U, "witness.U", (m, d))
+    F = _matrix_from_json(F, "witness.F", (d, d))
+    v = _vector_from_json(v, "witness.v")
     _require(v.size == d, f"witness.v: expected {d} entries, got {v.size}")
-    _require(isinstance(blk["groups"], list), "witness.groups: expected a list")
+    _require(isinstance(raw_groups, list), "witness.groups: expected a list")
     groups = []
-    for idx, g in enumerate(blk["groups"]):
+    for idx, g in enumerate(raw_groups):
         field = f"witness.groups[{idx}]"
         _require(isinstance(g, dict), f"{field}: expected an object")
-        for key in ("theta", "multiplicity", "W_re", "W_im"):
+        for key in _GROUP_KEYS:
             _require(key in g, f"{field}: missing field '{key}'")
-        W_re = _matrix_from_json(g["W_re"], f"{field}.W_re")
-        k = W_re.shape[1]
+        theta, W_re, W_im = (g[key] for key in _GROUP_KEYS)
+        W_re = _matrix_from_json(W_re, f"{field}.W_re")
         _require(W_re.shape[0] == d,
                  f"{field}.W_re: expected {d} rows, got {W_re.shape[0]}")
-        W_im = _matrix_from_json(g["W_im"], f"{field}.W_im", (d, k))
-        _require(_as_count(g["multiplicity"], f"{field}.multiplicity") == k,
-                 f"{field}.multiplicity: is {g['multiplicity']}, but "
-                 f"{field}.W_re has {k} columns")
-        groups.append(EigenGroup(theta=_as_number(g["theta"], f"{field}.theta"),
+        W_im = _matrix_from_json(W_im, f"{field}.W_im", W_re.shape)
+        groups.append(EigenGroup(theta=_as_number(theta, f"{field}.theta"),
                                  W=W_re + 1j * W_im))
     stacked = np.vstack([X, U])
     H = tuple(stacked.T @ M @ stacked for M in iqcs)
-    modes = WorstCaseModes(Q=Q, d=d, X=X, U=U, F=F, groups=tuple(groups),
+    modes = WorstCaseModes(Q=None, d=d, X=X, U=U, F=F, groups=tuple(groups),
                            H=H, v=v)
-    gain = None if blk["gain"] is None \
-        else _matrix_from_json(blk["gain"], "witness.gain", (m, n))
-    _require(isinstance(blk["pointwise"], bool),
+    gain = None if gain is None else _matrix_from_json(gain, "witness.gain", (m, n))
+    _require(isinstance(pointwise, bool),
              "witness.pointwise: expected true or false")
-    _require(isinstance(blk["notes"], list), "witness.notes: expected a list")
+    _require(isinstance(notes, list), "witness.notes: expected a list")
     return WitnessReport(
         modes=modes, gain=gain,
-        iqc_lower_bounds=_vector_from_json(blk["iqc_lower_bounds"],
-                                           "witness.iqc_lower_bounds"),
-        hard_shift=None if blk["hard_shift"] is None
-        else _as_count(blk["hard_shift"], "witness.hard_shift"),
-        pointwise=blk["pointwise"],
-        growth=_as_number(blk["growth"], "witness.growth"),
-        notes=tuple(blk["notes"]))
+        iqc_lower_bounds=_vector_from_json(bounds, "witness.iqc_lower_bounds"),
+        hard_shift=None if hard_shift is None
+        else _as_count(hard_shift, "witness.hard_shift"),
+        pointwise=pointwise,
+        growth=_as_number(growth, "witness.growth"),
+        notes=tuple(notes))
 
 
 def _write_out(out_path: str | None, doc: dict) -> None:
@@ -648,23 +632,32 @@ def cmd_verify(args) -> int:
 
     cert_blk = report.get("certificate") or {}
     margins_blk = report.get("margins") or {}
+    wit_blk = report.get("witness")
     _require(isinstance(cert_blk, dict), "certificate: expected an object")
     _require(isinstance(margins_blk, dict), "margins: expected an object")
+    has_cert = cert_blk.get("P") is not None
+    if report["kind"] == "radius":
+        status = report.get("status")
+        item("headline-status", status == ("ok" if has_cert else "no-certificate"),
+             f"status {status!r}, certificate matrix present {has_cert}")
+    else:
+        stage = report.get("stage")
+        _require(stage in STAGES, f"stage: expected one of {STAGES}, got {stage!r}")
+        item("headline-stage", (stage == "complete") == (wit_blk is not None),
+             f"stage {stage!r}, witness present {wit_blk is not None}")
+
     recorded = margins_blk.get("certificate")
-    if cert_blk.get("P") is not None:
+    if has_cert:
         P = _matrix_from_json(cert_blk["P"], "report certificate.P")
-        lambdas = (np.zeros(len(iqcs)) if cert_blk.get("lambdas") is None
-                   else _vector_from_json(cert_blk["lambdas"],
-                                          "report certificate.lambdas"))
+        lambdas = _vector_from_json(cert_blk.get("lambdas"),
+                                    "report certificate.lambdas")
         _require(lambdas.size == len(iqcs),
                  f"report certificate.lambdas: expected {len(iqcs)} "
                  f"entries, got {lambdas.size}")
         rho = _as_number(report.get("rho"), "rho")
-        field = "rho" if cert_blk.get("rho_cert") is None \
-            else "certificate.rho_cert"
-        rho_c = rho if field == "rho" else _as_number(cert_blk["rho_cert"], field)
-        _require(0 < rho_c < np.inf,
-                 f"{field}: expected a finite positive rate, got {rho_c!r}")
+        rho_c = _as_number(cert_blk.get("rho_cert"), "certificate.rho_cert")
+        _require(0 < rho_c < np.inf, f"certificate.rho_cert: expected a "
+                                     f"finite positive rate, got {rho_c!r}")
         bracket = report.get("bracket")
         _require(isinstance(bracket, list) and len(bracket) == 2,
                  "bracket: expected a list of two numbers")
@@ -698,10 +691,8 @@ def cmd_verify(args) -> int:
              f"no certificate matrix, so no rate may be claimed: rho "
              f"{_fmt(rho)}, bracket {bracket!r} (need rho and bracket[1] null)")
 
-    wit_blk = report.get("witness")
     if wit_blk is not None:
         _require(isinstance(wit_blk, dict), "witness: expected an object")
-        wrep = _witness_from_json(wit_blk, sys_data, iqcs)
         recorded = margins_blk.get("witness")
         _require(recorded is not None,
                  "report: witness present but no recorded margins")
@@ -710,7 +701,13 @@ def cmd_verify(args) -> int:
         # runs over CHECK_HORIZON: a report neither shortens nor lengthens it.
         _as_count(margins_blk.get("check_horizon", CHECK_HORIZON),
                   "margins.check_horizon")
-        wc = check_witness(sys_data, wrep, iqcs, horizon=CHECK_HORIZON)
+        # Huge entries overflow to non-finite numbers, which fail below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            wrep = _witness_from_json(wit_blk, sys_data, iqcs)
+            wc = check_witness(sys_data, wrep, iqcs, horizon=CHECK_HORIZON)
+            modes = wrep.modes
+            defect = verify_groups(modes) or verify_direction(modes, modes.v)
+            pointwise = pointwise_check(modes)
         item("witness-margins-reproduce",
              _reproduces(recorded, _witness_margins(wc)),
              f"dynamics {wc.dynamics_residual:.3e}, "
@@ -720,10 +717,11 @@ def cmd_verify(args) -> int:
              f"dynamics ok {wc.dynamics_ok}, sums ok {wc.iqc_ok}, "
              f"norm ok {wc.norm_ok}, direction ok {wc.direction_ok}, "
              f"gain ok {wc.gain_ok}")
-        modes = wrep.modes
-        defect = verify_groups(modes) or verify_direction(modes, modes.v)
         item("technical-condition", defect == "",
              defect if defect else "group-projected forms nonnegative")
+        item("witness-pointwise", wrep.pointwise == pointwise,
+             f"recorded {str(wrep.pointwise).lower()}, "
+             f"recomputed {str(pointwise).lower()}")
 
     ok = not failures
     print(f"verification: {'PASS' if ok else 'FAIL'}")

@@ -108,7 +108,7 @@ class RadiusCertificate:
     prove it), unless that proof stops more than ``bisect_tol`` short of
     the upper end: then the lower end is the highest ambiguous probe.
     ``P`` and ``lambdas`` certify feasibility at the upper end,
-    ``rho_cert``, with the reported ``margin``.  ``rho`` lies inside,
+    ``rho_cert``.  ``rho`` lies inside,
     above every ambiguous probe below the upper end.  Without a
     certificate the upper end is ``inf``.  ``attained`` records whether
     the margin is already non-positive at ``rho`` itself.  ``probes``
@@ -120,7 +120,6 @@ class RadiusCertificate:
     P: np.ndarray | None
     lambdas: np.ndarray | None
     attained: bool
-    margin: float
     bracket: tuple[float, float]
     rho_cert: float | None = None
     status: str = "ok"
@@ -161,23 +160,17 @@ def _unit_trace_psd(Q: np.ndarray | None) -> np.ndarray | None:
     return (V * (w / tr)) @ V.T
 
 
-def _certified_dual_slack(sys: SystemData, iqcs: IqcSet, rho: float,
-                          Q: np.ndarray | None) -> float:
-    """Worst slack of the dual system at a PSD-projected, trace-1 Q.
+def _lyapunov_dual_slack(sys: SystemData, rho: float, Qp: np.ndarray) -> float:
+    """lambda_min of the rate-rho adjoint Lyapunov map at a PSD, trace-1 Qp.
 
-    The returned value is achieved by an exactly feasible Q, so
-    ``slack >= 0`` certifies that no strictly feasible primal point
-    exists at this rate, i.e. that rho is at or below the radius.
+    The value is achieved by an exactly feasible Qp, so when also
+    trace(Qp M_i) >= 0 for every constraint, ``slack >= 0`` certifies that
+    no strictly feasible primal point exists at this rate, i.e. that rho
+    is at or below the radius.
     """
-    Qp = _unit_trace_psd(Q)
-    if Qp is None:
-        return -np.inf
     Qs = 0.5 * (Qp + Qp.T)      # the arithmetic of lyapunov_adjoint, unchecked
-    slacks = [float(np.linalg.eigvalsh(
-        _lyapunov_stack(Qs[None], sys, rho, adjoint=True)[0])[0])]
-    for M in iqcs:
-        slacks.append(float(np.tensordot(Qp, M)))
-    return min(slacks)
+    return float(np.linalg.eigvalsh(
+        _lyapunov_stack(Qs[None], sys, rho, adjoint=True)[0])[0])
 
 
 def _certified_above(sys: SystemData, iqcs: IqcSet, result: MarginPrimalResult,
@@ -224,16 +217,13 @@ def _pencil_eigs(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.linalg.solve(L, X.T))
 
 
-def _q_reach(sys: SystemData, iqcs: IqcSet, Q: np.ndarray | None) -> float:
-    """The largest rate at which the trace-1 projection of Q has slack >= 0.
+def _q_reach(sys: SystemData, Qp: np.ndarray) -> float:
+    """The largest rate at which a PSD, trace-1 Qp has Lyapunov slack >= 0.
 
-    The slack lambda_min(G Q G' - rho^2 Q_xx) falls as rho grows, so the
-    rate is sqrt(lambda_min) of the pencil (G Q G', Q_xx).  0.0 when some
-    trace(Q M_i) < 0, when Q_xx is singular or when Q proves no rate.
+    The slack lambda_min(G Qp G' - rho^2 Qp_xx) falls as rho grows, so
+    the rate is sqrt(lambda_min) of the pencil (G Qp G', Qp_xx).  0.0 when
+    Qp_xx is singular or when Qp proves no rate.
     """
-    Qp = _unit_trace_psd(Q)
-    if Qp is None or any(float(np.tensordot(Qp, M)) < 0 for M in iqcs):
-        return 0.0
     try:
         L = np.linalg.cholesky(Qp[:sys.n, :sys.n])
     except np.linalg.LinAlgError:
@@ -303,10 +293,15 @@ class _Search:
 
     def _lower(self, rate: float, Q: np.ndarray | None) -> float:
         """The highest of Q's reach, that reach nudged down and ``rate``
-        at which Q re-checks at-or-below the radius; 0.0 for none."""
-        reach = _q_reach(self.sys, self.iqcs, Q)
+        at which Q re-checks at-or-below the radius; 0.0 for none.  Q is
+        projected, and its pairings trace(Qp M_i) >= 0 tested, once for
+        every rate: they do not depend on it."""
+        Qp = _unit_trace_psd(Q)
+        if Qp is None or any(float(np.tensordot(Qp, M)) < 0 for M in self.iqcs):
+            return 0.0
+        reach = _q_reach(self.sys, Qp)
         for r in sorted({reach, reach * (1.0 - _NUDGE), rate}, reverse=True):
-            if 0 < r < np.inf and _certified_dual_slack(self.sys, self.iqcs, r, Q) >= 0:
+            if 0 < r < np.inf and _lyapunov_dual_slack(self.sys, r, Qp) >= 0:
                 return r
         return 0.0
 
@@ -432,7 +427,6 @@ def spectral_radius(sys: SystemData, iqcs: IqcSet | None = None, *,
             P=cert.P if cert else None,
             lambdas=cert.lambdas if cert else None,
             attained=attained,
-            margin=cert.s_star if cert else np.nan,
             bracket=(float(lo), hi),
             rho_cert=hi if cert else None,
             status=status,
@@ -625,6 +619,6 @@ def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,
             "could not certify the scaled pair at rate 1")
     out = RadiusCertificate(
         rho=rate, P=result.P, lambdas=result.lambdas, attained=True,
-        margin=result.s_star, bracket=cert.bracket, rho_cert=rate,
+        bracket=cert.bracket, rho_cert=rate,
         status="ok", probes=cert.probes, ambiguous=cert.ambiguous)
     return ExponentialRateResult(True, rate, out)

@@ -270,14 +270,14 @@ def check_witness(sys: SystemData, report: WitnessReport,
     diag = trajectory_diagnostics(sys, traj, iqcs)
 
     margins = diag.iqc_minima - bounds
-    iqc_ok = bool(np.all(margins >= -IQC_SLACK))
+    iqc_ok = bool(np.all(np.isfinite(margins) & (margins >= -IQC_SLACK)))
 
     v_norm = float(np.linalg.norm(report.modes.v))
     drift = float(np.max(np.abs(_row_norms(Z) - v_norm)))
     norm_ok = drift <= NORM_DRIFT_TOL * (1.0 + v_norm)
 
     direction_norm = float(np.linalg.norm(report.modes.X @ report.modes.v))
-    direction_ok = direction_norm > 0.0
+    direction_ok = 0.0 < direction_norm < np.inf
 
     if report.gain is not None:
         K = np.asarray(report.gain, dtype=float)

@@ -89,6 +89,10 @@ POINTWISE_HORIZON = 1000
 GROWTH_LOG_CAP = 300.0
 SHORTENED_NOTE = ("horizon shortened to {} steps to keep the "
                   "growth-weighted orbit finite")
+# The stages ``build_witness`` names: the one that stopped it, or "complete".
+STAGES = ("radius-precheck", "dual-extraction", "rank-factorization",
+          "orthogonal-factor", "eigen-grouping", "technical-condition",
+          "trajectory-assembly", "complete")
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +121,10 @@ class EigenGroup:
 
 @dataclass(frozen=True)
 class WorstCaseModes:
-    """Factorized dual witness: Q = [X; U][X; U]' with AX + BU = XF."""
+    """Factorized dual witness: Q = [X; U][X; U]' with AX + BU = XF
+    (``Q`` is None on modes read from a report, which does not record it)."""
 
-    Q: np.ndarray
+    Q: np.ndarray | None
     d: int
     X: np.ndarray
     U: np.ndarray
@@ -728,7 +733,7 @@ def pointwise_check(modes: WorstCaseModes) -> bool:
     for Hi in modes.H:
         per_step = _row_forms(Z, Hi)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(per_step), initial=0.0)))
-        if float(per_step.min(initial=0.0)) < -tol:
+        if not float(per_step.min(initial=0.0)) >= -tol:     # NaN fails too
             return False
     return True
 

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,14 @@ def test_radius_ragged_rows_cite_index(tmp_path):
     code, out = run("radius", problem)
     assert code == 1
     assert "row 1" in out
+
+
+@pytest.mark.parametrize("A", [[["0.5"]], {"rows": 1, "cols": 1, "data": [True]}])
+def test_matrix_entries_must_be_numbers(tmp_path, A):
+    problem = write(tmp_path, "p.json", dict(STABLE, A=A))
+    code, out = run("radius", problem)
+    assert code == 1
+    assert "error: A: entries must be numbers" in out
 
 
 def test_radius_without_certificate(tmp_path):
@@ -319,6 +328,12 @@ def _set(*path, value=None, grow=None):
     return corrupt
 
 
+def _stage(value):
+    def corrupt(doc):
+        doc["stage"] = value
+    return corrupt
+
+
 def _null_certificate_eig(doc):
     doc["margins"]["certificate"]["certificate_eig"] = None
 
@@ -381,25 +396,22 @@ def _word_as_state_count(doc):
     (_null_rates, 1, "error: rho: expected a number"),
     (_list_as_certificate_margins, 1, "error: margins.certificate: expected an object"),
     (_set("X", grow=(1, 0)), 1, "error: witness.X: expected 2 rows, got 3"),
-    (_set("X", grow=(0, 1)), 1, "error: witness.d: is 2, but witness.X has 3 columns"),
+    (_set("X", grow=(0, 1)), 1, "error: witness.U: expected 0x3, got 0x2"),
     (_set("U", grow=(1, 0)), 1, "error: witness.U: expected 0x2, got 1x2"),
     (_set("F", grow=(0, 1)), 1, "error: witness.F: expected 2x2, got 2x3"),
     (_set("F", grow=(1, 0)), 1, "error: witness.F: expected 2x2, got 3x2"),
-    (_set("d", value=1), 1, "error: witness.d: is 1, but witness.X has 2 columns"),
-    (_set("d", value=3), 1, "error: witness.d: is 3, but witness.X has 2 columns"),
     (_set("v", value=[1.0, 0.0, 0.0]), 1, "error: witness.v: expected 2 entries, got 3"),
     (_set("v", value=[]), 1, "error: witness.v: expected 2 entries, got 0"),
     (_set("groups", 0, "W_re", grow=(1, 0)), 1,
      "error: witness.groups[0].W_re: expected 2 rows, got 3"),
     (_set("groups", 0, "W_im", grow=(0, 1)), 1,
      "error: witness.groups[0].W_im: expected 2x1, got 2x2"),
-    (_set("groups", 0, "multiplicity", value=5), 1,
-     "error: witness.groups[0].multiplicity: is 5, but "
-     "witness.groups[0].W_re has 1 columns"),
-    (_set("Q", grow=(1, 1)), 1, "error: witness.Q: expected 2x2, got 3x3"),
     (_set("gain", value=mat([[0.0, 0.0]])), 1,
      "error: witness.gain: expected 0x2, got 1x2"),
     (_set("pointwise", value="yes"), 1, "error: witness.pointwise: expected true or false"),
+    (_set("pointwise", value=True), 4, "FAIL witness-pointwise: recorded true, recomputed false"),
+    (_stage("dual-extraction"), 4, "FAIL headline-stage"),
+    (_stage("finished"), 1, "error: stage: expected one of ('radius-precheck'"),
     (_number_as_witness, 1, "error: witness: expected an object"),
     (_list_as_problem, 1, "error: problem: expected an object"),
     (_integer_beyond_float_margin, 4, "FAIL lyapunov-margin-reproduces"),
@@ -601,6 +613,14 @@ def _rate(value):
     return forge
 
 
+def _no_certificate_status(doc, problem):
+    doc["status"] = "no-certificate"
+
+
+def _true_as_entry(doc, problem):
+    doc["certificate"]["P"]["data"][0] = True
+
+
 @pytest.mark.parametrize("problem_doc, forge, code, expected", [
     (UNIT_IQC, _negative_multiplier, 4, "FAIL lyapunov-certificate"),
     (GD, _lowered_rate, 4, "FAIL lyapunov-certificate"),
@@ -608,6 +628,8 @@ def _rate(value):
     (UNIT_IQC, _rate(0.0), 1, "error: certificate.rho_cert: expected a finite"),
     (UNIT_IQC, _rate(-1.0), 1, "error: certificate.rho_cert: expected a finite"),
     (UNIT_IQC, _rate(1e300), 4, "FAIL lyapunov-certificate"),
+    (GD, _no_certificate_status, 4, "FAIL headline-status"),
+    (GD, _true_as_entry, 1, "error: report certificate.P: entries must be numbers"),
 ])
 def test_verify_rejects_forged_certificates(tmp_path, problem_doc, forge, code,
                                             expected):
@@ -683,6 +705,90 @@ def test_stored_reports_still_verify(tmp_path, report, problem):
     P = doc["certificate"]["P"]
     P["data"][0] = 0.5 * P["data"][0] - 1.0
     assert verify_doc(tmp_path, doc, problem)[0] == 4
+
+
+# Each report leaf is replaced by each of these: values that change its
+# JSON type (or string), and numbers that need only raise nothing.
+TYPE_EDITS = (None, "1.5", [], {}, True, [[None]], float("nan"))
+NUMBER_EDITS = (1e308, -1)
+# Leaves ``verify`` does not re-check: the annotations, and the claims
+# that need the attaining pair or the hard-shift scan (ROADMAP item 11).
+UNCHECKED_LEAVES = ("options", "message", "reasons", "reason", "witness.notes",
+                    "verdict", "attained", "witness.hard_shift", "bracket[0]")
+
+
+def _leaf_paths(node, path=()):
+    """Paths to the leaves of a report: scalars, nulls and empty
+    containers; of a list of numbers, its first and last entries."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                      for x in node)
+        for idx in sorted({0, len(node) - 1}) if numeric else range(len(node)):
+            yield from _leaf_paths(node[idx], path + (idx,))
+    else:
+        yield path
+
+
+def _path_name(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _unchecked(name):
+    return next((u for u in UNCHECKED_LEAVES
+                 if name == u or name.startswith((u + ".", u + "["))), None)
+
+
+@pytest.fixture(scope="module")
+def data_reports(tmp_path_factory):
+    """The ``radius`` and ``worst-case`` reports of the three problems
+    under ``tests/data``, with their problem files."""
+    workdir = tmp_path_factory.mktemp("data-reports")
+    reports = []
+    for problem in sorted((ROOT / "tests" / "data").glob("*.problem.json")):
+        for command in ("radius", "worst-case"):
+            out = workdir / f"{problem.name}.{command}.json"
+            assert run(command, str(problem), "--out", str(out))[0] in (0, 3)
+            reports.append((str(problem), json.loads(out.read_text())))
+    return reports
+
+
+def test_verify_rechecks_every_report_leaf(tmp_path, data_reports):
+    """Every leaf of every report, replaced by each edit, gives no
+    exception or warning; each of ``TYPE_EDITS`` that changes the leaf
+    exits 1 or 4 unless the leaf is in ``UNCHECKED_LEAVES``, and each of
+    those still exits 0 on some edit, so the list cannot go stale."""
+    path_out = tmp_path / "edited.json"
+    passed = set()
+    wrong = []
+    edits = 0
+    for problem, report in data_reports:
+        for path in _leaf_paths(report):
+            parent = report
+            for key in path[:-1]:
+                parent = parent[key]
+            original = json.dumps(parent[path[-1]])
+            name = _path_name(path)
+            unchecked = _unchecked(name)
+            for value in TYPE_EDITS + NUMBER_EDITS:
+                parent[path[-1]] = value
+                path_out.write_text(json.dumps(report))
+                parent[path[-1]] = json.loads(original)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, out = run("verify", str(path_out), problem)
+                edits += 1
+                if code == 0 and unchecked:
+                    passed.add(unchecked)
+                if code not in (1, 4) and not unchecked \
+                        and value not in NUMBER_EDITS \
+                        and json.dumps(value) != original:
+                    wrong.append((problem, name, value, code))
+    assert edits > 1000
+    assert not wrong, wrong
+    assert passed == set(UNCHECKED_LEAVES)
 
 
 def test_verify_dimension_mismatch(tmp_path):

@@ -372,6 +372,23 @@ def test_each_program_is_prepared_once_per_radius(monkeypatch, case, margin_reus
     assert len({id(pb.compile().cols) for pb in problems}) == len(problems)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 2.0 / 11.0, 0.2])
+def test_each_probe_projects_its_dual_once(monkeypatch, alpha):
+    """A probe's phase-I Q is projected onto the unit-trace PSD matrices
+    once, for its reach and every candidate rate alike."""
+    sys, iqcs = gradient_instance(alpha)
+    calls = []
+    project = radius._unit_trace_psd
+
+    def counting(Q):
+        calls.append(Q)
+        return project(Q)
+
+    monkeypatch.setattr(radius, "_unit_trace_psd", counting)
+    cert = spectral_radius(sys, iqcs)
+    assert 0 < len(calls) <= cert.probes
+
+
 @settings(max_examples=20)
 @given(n=st.integers(1, 4), m=st.integers(0, 1), with_iqc=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
@@ -420,11 +437,13 @@ def test_bracket_ends_are_proven(n, m, with_iqc, seed):
     sys, iqcs = _random_system(n, m, with_iqc, seed)
     tol = 1e-6
     proven, kinds = [0.0], {}
-    real_slack, real_probe = radius._certified_dual_slack, radius._Search.probe
+    real_slack, real_probe = radius._lyapunov_dual_slack, radius._Search.probe
 
-    def slack(sys_, iqcs_, rho, Q):
-        value = real_slack(sys_, iqcs_, rho, Q)
-        if value >= 0:
+    def slack(sys_, rho, Qp):
+        value = real_slack(sys_, rho, Qp)
+        # A rate counts as proven only by the whole dual test: slack >= 0
+        # and trace(Qp M_i) >= 0 for every constraint.
+        if value >= 0 and all(float(np.tensordot(Qp, M)) >= 0 for M in iqcs):
             proven.append(rho)
         return value
 
@@ -432,7 +451,7 @@ def test_bracket_ends_are_proven(n, m, with_iqc, seed):
         kinds[rate] = real_probe(self, rate)
         return kinds[rate]
 
-    with mock.patch.object(radius, "_certified_dual_slack", slack), \
+    with mock.patch.object(radius, "_lyapunov_dual_slack", slack), \
             mock.patch.object(radius._Search, "probe", probe):
         cert = spectral_radius(sys, iqcs, bisect_tol=tol)
     if cert.status != "ok":

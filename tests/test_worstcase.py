@@ -624,3 +624,9 @@ def test_every_failure_stage_and_reason(monkeypatch, sys, iqcs, rho, cert,
     assert (outcome.stage, outcome.reason) == (stage, reason)
     assert (outcome.modes is not None) == has_modes
     assert outcome.report is None and outcome.trajectory is None
+
+
+def test_stages_name_every_outcome():
+    """``STAGES``, the names ``verify`` accepts for a report's ``stage``,
+    are the failure stages pinned above and "complete"."""
+    assert set(worstcase.STAGES) == {c[5] for c in _STAGE_CASES} | {"complete"}
