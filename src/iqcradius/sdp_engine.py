@@ -433,85 +433,86 @@ def solve(problem: SdpProblem) -> SdpSolution:
     message = ""
     it = 0
 
-    for it in range(1, MAX_ITER + 1):
-        # Residuals.
-        Rd = G0 + (z @ Gf).reshape(D, D) - S
-        rp = cz - Gf @ Z.ravel()
-        gap = float(np.vdot(S, Z))
-        mu = gap / max(1, D)
-        obj_p = float(cz @ z)
-        obj_d = -float(np.vdot(G0, Z))
-        pres = float(_block_norms(Rd, starts).max(initial=0.0)) / (1.0 + f0_norm)
-        dres = float(np.abs(rp).max()) / zscale
-        gap_rel = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
-        mu_rel = mu / (1.0 + abs(obj_p) + abs(obj_d))
+    with np.errstate(over="ignore", invalid="ignore"):   # a failing iterate may overflow
+        for it in range(1, MAX_ITER + 1):
+            # Residuals.
+            Rd = G0 + (z @ Gf).reshape(D, D) - S
+            rp = cz - Gf @ Z.ravel()
+            gap = float(np.vdot(S, Z))
+            mu = gap / max(1, D)
+            obj_p = float(cz @ z)
+            obj_d = -float(np.vdot(G0, Z))
+            pres = float(_block_norms(Rd, starts).max(initial=0.0)) / (1.0 + f0_norm)
+            dres = float(np.abs(rp).max()) / zscale
+            gap_rel = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
+            mu_rel = mu / (1.0 + abs(obj_p) + abs(obj_d))
 
-        last_res = {"primal_residual": pres, "dual_residual": dres,
-                    "gap": gap_rel, "mu": mu}
-        merit = max(pres, dres, gap_rel, mu_rel)
-        if best is None or merit < best[0]:
-            best = (merit, z.copy(), Z.copy())
+            last_res = {"primal_residual": pres, "dual_residual": dres,
+                        "gap": gap_rel, "mu": mu}
+            merit = max(pres, dres, gap_rel, mu_rel)
+            if best is None or merit < best[0]:
+                best = (merit, z.copy(), Z.copy())
 
-        if pres <= FEAS_TOL and dres <= FEAS_TOL and (
-                gap_rel <= GAP_TOL or mu_rel <= GAP_TOL):
-            status = "optimal"
-            break
+            if pres <= FEAS_TOL and dres <= FEAS_TOL and (
+                    gap_rel <= GAP_TOL or mu_rel <= GAP_TOL):
+                status = "optimal"
+                break
 
-        try:
-            # One factorization of the iterate: S = Ls Ls', Z = Lz Lz'.  The
-            # inverse factors give S^-1 and all four step lengths.
-            Linv = np.linalg.inv(np.linalg.cholesky(np.array((S, Z))))
-            Sinv = Linv[0].T @ Linv[0]
-            # Schur complement M[i,j] = tr(G_i Z G_j Sinv); the order
-            # Z G_j Sinv matters, Z does not commute with the G's.
-            Msc = Gf @ (Z @ Gb @ Sinv).reshape(pz, -1).T
-            Msc = 0.5 * (Msc + Msc.T)
             try:
-                Minv = np.linalg.inv(Msc)
+                # One factorization of the iterate: S = Ls Ls', Z = Lz Lz'.  The
+                # inverse factors give S^-1 and all four step lengths.
+                Linv = np.linalg.inv(np.linalg.cholesky(np.array((S, Z))))
+                Sinv = Linv[0].T @ Linv[0]
+                # Schur complement M[i,j] = tr(G_i Z G_j Sinv); the order
+                # Z G_j Sinv matters, Z does not commute with the G's.
+                Msc = Gf @ (Z @ Gb @ Sinv).reshape(pz, -1).T
+                Msc = 0.5 * (Msc + Msc.T)
+                try:
+                    Minv = np.linalg.inv(Msc)
+                except np.linalg.LinAlgError:
+                    Minv = np.linalg.pinv(Msc)
+
+                def direction(Rcomp):
+                    T = (Rcomp - Z @ Rd) @ Sinv
+                    rhs = Gf @ T.ravel() - rp
+                    dz = Minv @ rhs
+                    dz += Minv @ (rhs - Msc @ dz)    # one step of refinement
+                    dS = Rd + (dz @ Gf).reshape(D, D)
+                    M = (Rcomp - Z @ dS) @ Sinv
+                    return dz, dS, 0.5 * (M + M.T)
+
+                # Predictor.
+                dz_a, dS_a, dZ_a = direction(-(Z @ S))
+                a_p, a_d = np.minimum(1.0, STEP_FRACTION * _max_steps(
+                    Linv, np.array((dS_a, dZ_a))))
+                gap_aff = float(np.vdot(S + a_p * dS_a, Z + a_d * dZ_a))
+                sigma = min(1.0, max(1e-10, (gap_aff / gap) ** 3)) if gap > 0 else 0.0
+
+                # Corrector.
+                dz, dS, dZ = direction(sigma * mu * eye - Z @ S - dZ_a @ dS_a)
+                a_p, a_d = _max_steps(Linv, np.array((dS, dZ)))
             except np.linalg.LinAlgError:
-                Minv = np.linalg.pinv(Msc)
+                status = "numerical-failure"
+                message = "factorization failed (loss of positive definiteness)"
+                break
 
-            def direction(Rcomp):
-                T = (Rcomp - Z @ Rd) @ Sinv
-                rhs = Gf @ T.ravel() - rp
-                dz = Minv @ rhs
-                dz += Minv @ (rhs - Msc @ dz)    # one step of refinement
-                dS = Rd + (dz @ Gf).reshape(D, D)
-                M = (Rcomp - Z @ dS) @ Sinv
-                return dz, dS, 0.5 * (M + M.T)
+            a_p = min(1.0, STEP_FRACTION * a_p)
+            a_d = min(1.0, STEP_FRACTION * a_d)
+            if not np.isfinite(a_p) or not np.isfinite(a_d):
+                status = "numerical-failure"
+                message = "non-finite step length"
+                break
+            if max(a_p, a_d) < 1e-10:
+                status = "numerical-failure"
+                message = "step lengths collapsed"
+                break
 
-            # Predictor.
-            dz_a, dS_a, dZ_a = direction(-(Z @ S))
-            a_p, a_d = np.minimum(1.0, STEP_FRACTION * _max_steps(
-                Linv, np.array((dS_a, dZ_a))))
-            gap_aff = float(np.vdot(S + a_p * dS_a, Z + a_d * dZ_a))
-            sigma = min(1.0, max(1e-10, (gap_aff / gap) ** 3)) if gap > 0 else 0.0
+            z = z + a_p * dz
+            S = S + a_p * dS
+            Z = Z + a_d * dZ
 
-            # Corrector.
-            dz, dS, dZ = direction(sigma * mu * eye - Z @ S - dZ_a @ dS_a)
-            a_p, a_d = _max_steps(Linv, np.array((dS, dZ)))
-        except np.linalg.LinAlgError:
-            status = "numerical-failure"
-            message = "factorization failed (loss of positive definiteness)"
-            break
-
-        a_p = min(1.0, STEP_FRACTION * a_p)
-        a_d = min(1.0, STEP_FRACTION * a_d)
-        if not np.isfinite(a_p) or not np.isfinite(a_d):
-            status = "numerical-failure"
-            message = "non-finite step length"
-            break
-        if max(a_p, a_d) < 1e-10:
-            status = "numerical-failure"
-            message = "step lengths collapsed"
-            break
-
-        z = z + a_p * dz
-        S = S + a_p * dS
-        Z = Z + a_d * dZ
-
-    else:
-        it = MAX_ITER
+        else:
+            it = MAX_ITER
 
     if status != "optimal" and best is not None:
         _, z, Z = best

@@ -22,7 +22,7 @@ The one-step dynamics residual and its tolerance live in ``model``
 ``worstcase`` (``mode_orbit``), shared with the witness pipeline.
 ``check_witness`` regenerates the orbit over ``CHECK_HORIZON`` steps;
 its rows begin bit for bit with the witness trajectory.  Row forms and
-norms use ``model``'s kernels (``_row_forms``, ``_row_norms``).
+norms use ``model``'s column-major kernels.
 
 The growth test states a horizon-bounded fact only (a half-versus-half
 comparison of state norms); a finite trajectory cannot certify a limit,
@@ -129,10 +129,9 @@ class WitnessCheck:
 
 
 def _as_lambdas(cert: RadiusCertificate, count: int) -> np.ndarray:
-    lambdas = cert.lambdas
-    if lambdas is None:
-        lambdas = np.zeros(count)
-    lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
+    if cert.lambdas is None:
+        raise ValueError("certificate carries no multipliers")
+    lambdas = np.asarray(cert.lambdas, dtype=float).reshape(-1)
     if lambdas.size != count:
         raise DimensionMismatchError(
             f"certificate carries {lambdas.size} multipliers but the "
@@ -190,17 +189,15 @@ def strengthen_certificate(cert: RadiusCertificate) -> RadiusCertificate:
     ``-blkdiag(I, 0)``, so the Lyapunov difference along any
     constraint-satisfying trajectory is at most ``-||x_k||^2``.
     """
-    rate = cert.rho_cert if cert.rho_cert is not None else cert.rho
+    if cert.P is None or cert.lambdas is None:
+        raise ValueError("certificate carries no P or multipliers to rescale")
+    rate = cert.rho_cert
     if not np.isfinite(rate) or rate >= 1.0:
         raise ValueError(
             f"strengthening needs a certified rate below one, got {rate}")
-    if cert.P is None:
-        raise ValueError("certificate carries no P matrix to rescale")
     scale = 1.0 / (1.0 - rate * rate)
-    lambdas = cert.lambdas
     return replace(cert, P=scale * np.asarray(cert.P, dtype=float),
-                   lambdas=None if lambdas is None
-                   else scale * np.asarray(lambdas, dtype=float))
+                   lambdas=scale * np.asarray(cert.lambdas, dtype=float))
 
 
 def _growing(norms: np.ndarray) -> bool:
@@ -209,10 +206,8 @@ def _growing(norms: np.ndarray) -> bool:
     peak_first = float(first.max()) if first.size else 0.0
     peak_second = float(second.max()) if second.size else 0.0
     if peak_first > 0.0:
-        ratio = peak_second / peak_first if second.size else 1.0
-    else:
-        ratio = np.inf if peak_second > 0.0 else 1.0
-    return bool(ratio > 1.0 + GROWTH_RATIO_TOL)
+        return peak_second / peak_first > 1.0 + GROWTH_RATIO_TOL
+    return peak_second > 0.0
 
 
 def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
@@ -280,10 +275,10 @@ def check_witness(sys: SystemData, report: WitnessReport,
     direction_ok = 0.0 < direction_norm < np.inf
 
     if report.gain is not None:
-        K = np.asarray(report.gain, dtype=float)
-        U, X = traj.inputs, traj.states[:-1]
+        K, U = np.asarray(report.gain, dtype=float), traj.inputs
+        miss = K @ traj.states[:-1].T - U.T       # one column per step
         gain_residual = float(np.max(
-            _row_norms(U - X @ K.T) / (1.0 + _row_norms(U))))
+            _row_norms(miss.T) / (1.0 + _row_norms(U))))
         gain_ok = gain_residual <= GAIN_RTOL
     else:
         gain_residual = float("nan")

@@ -607,31 +607,32 @@ def mode_orbit(modes: WorstCaseModes, horizon: int,
 
     For ``growth > 1`` the horizon is cut to
     ``max(floor(GROWTH_LOG_CAP / ln growth), 1)`` steps; callers compare
-    the orbit's length with the horizon they asked for.  Block doubling: from Z[0] = v, each K = 1, 2, 4, ...
-    fills Z[K:2K] = Z[:K] (F^K)' (cut at the horizon), then squares F^K.
-    A row's arithmetic does not depend on the horizon, so a shorter
-    orbit is a bit-for-bit prefix of a longer one.  Over 10^4 steps the
-    rows stay within 5e-13 |v| of an extended-precision step loop
-    (random orthogonal F, d <= 6).
+    the orbit's length with the horizon they asked for.  All three are
+    column-major (transposes of C-ordered arrays).  Block doubling: from
+    column 0 = v, each K = 1, 2, 4, ... sets columns K:2K to F^K times
+    columns :K (cut at the horizon), then squares F^K.  einsum, unlike BLAS,
+    rounds a one-column block as a wider one, so a shorter orbit is a
+    bit-for-bit prefix of a longer one.  Over 10^4 steps the rows stay
+    within 1e-12 |v| of an extended-precision loop (orthogonal F, d <= 6).
     """
     if modes.v is None:
         raise ValueError("modes carry no direction v")
     if growth > 1.0:
         horizon = min(horizon, max(int(GROWTH_LOG_CAP / np.log(growth)), 1))
-    Z = np.empty((horizon + 1, modes.d))
-    Z[0] = modes.v
+    Zt = np.empty((modes.d, horizon + 1))
+    Zt[:, 0] = modes.v
     Fk, k = modes.F, 1
     while k <= horizon:
         m = min(k, horizon + 1 - k)
-        np.einsum("ij,kj->ki", Fk, Z[:m], out=Z[k:k + m])
+        np.einsum("ij,jk->ik", Fk, Zt[:, :m], out=Zt[:, k:k + m])
         Fk, k = Fk @ Fk, 2 * k
-    states = Z @ modes.X.T
-    inputs = Z[:horizon] @ modes.U.T
+    states = modes.X @ Zt
+    inputs = modes.U @ Zt[:, :horizon]
     if growth != 1.0:
         weights = growth ** np.arange(horizon + 1)
-        states = states * weights[:, None]
-        inputs = inputs * weights[:horizon, None]
-    return Z, Trajectory(states=states, inputs=inputs)
+        states *= weights
+        inputs *= weights[:horizon]
+    return Zt.T, Trajectory(states=states.T, inputs=inputs.T)
 
 
 def build_trajectory(modes: WorstCaseModes, horizon: int,

@@ -199,6 +199,28 @@ def test_bad_option_exits_cleanly_under_warnings_as_errors(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_engine_overflow_reaches_no_user(tmp_path):
+    """On two copies of a 2.12 rad rotation with one IQC, a solve's
+    iterate overflows before its factorization fails.  The solve ends as
+    numerical-failure without a RuntimeWarning: in process under the
+    suite's warnings-as-errors, and on the CLI's stderr."""
+    c, s = np.cos(2.1220338983050846), np.sin(2.1220338983050846)
+    A = np.kron(np.eye(2), [[c, -s], [s, c]])
+    M = np.diag([1.0, 0.0, 0.0, 0.0])
+    cert = spectral_radius(SystemData(A=A), IqcSet.from_matrices([M]))
+    assert abs(cert.rho - 1.0) <= 1e-6
+    problem = write(tmp_path, "p.json", {"dims": {"n": 4, "m": 0},
+                                         "A": mat(A), "iqcs": [mat(M)]})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "iqcradius.cli", "radius", problem],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_worst_case_rotation(tmp_path):
     problem = write(tmp_path, "p.json", ROTATION)
     out_path = str(tmp_path / "report.json")
@@ -882,3 +904,15 @@ def test_zero_column_input_matrix(tmp_path):
     code, out = run("radius", problem)
     assert code == 0
     assert "0.5" in out
+
+
+def test_answer_set_lists_53_loadable_problems(tmp_path):
+    """``tests/answer_set.py`` names 53 problems once each, and the CLI
+    loads every one of them."""
+    import answer_set
+
+    names = [name for name, _ in answer_set.problems()]
+    assert len(names) == len(set(names)) == 53
+    for name, doc in answer_set.problems():
+        prob = cli.load_problem(write(tmp_path, f"{name}.json", doc))
+        assert (prob.sys is None) == ("plant" in doc)

@@ -124,6 +124,21 @@ def test_strengthen_requires_contraction():
         strengthen_certificate(cert)
 
 
+@pytest.mark.parametrize("missing", [{"P": None, "rho_cert": None},
+                                     {"lambdas": None}],
+                         ids=["P", "lambdas"])
+def test_certificate_without_p_or_multipliers_is_refused(missing):
+    """Neither re-check substitutes a rate or zero multipliers for a
+    missing part; both refuse with ``ValueError``."""
+    sys, iqcs = gradient_instance(2.0 / 11.0)
+    cert = replace(spectral_radius(sys, iqcs), **missing)
+    with pytest.raises(ValueError, match="carries no"):
+        strengthen_certificate(cert)
+    traj = sector_trajectory(sys, 5, seed=0)
+    with pytest.raises(ValueError, match="carries no"):
+        lyapunov_trace(sys, traj, cert, iqcs)
+
+
 def test_diagnostics_flag_growth():
     sys = SystemData(A=[[1.0, 1.0], [0.0, 1.0]])
     verdict = classify(sys, IqcSet.empty(2))
