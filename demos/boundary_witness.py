@@ -42,7 +42,7 @@ def main() -> None:
     if report.hard_shift is not None:
         print(f"shift for nonnegative partial sums: N* = {report.hard_shift}")
 
-    result = check_witness(sys, report, iqcs, horizon=10_000)
+    result = check_witness(sys, report, iqcs)
     print(f"independent re-check over 10^4 steps: "
           f"{'all checks pass' if result.ok else 'FAILED'}")
     print(f"  dynamics residual {result.dynamics_residual:.2e}, "

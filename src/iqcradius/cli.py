@@ -21,23 +21,27 @@ and the constraint lower bounds), and the verification margins that
 ``verify`` re-checks.  Eigen-group bases are stored as separate real
 and imaginary parts so reports round-trip exactly.
 
-``verify`` recomputes each recorded margins block with the functions
-that wrote it (``_certificate_margins``, ``_witness_margins``) and
-compares them entry by entry, ``steps`` included; a non-finite
-recomputed number never matches.  The certificate must pass the test
-that admitted it in the search (``model.certificate_defect``, bound
--0.5 ``radius.STRICT_EPS`` scale) at ``rho_cert``, a finite positive
-rate (exit 1 otherwise) that must be the bracket's upper end, with
-``rho`` inside the bracket.  ``status`` is ``ok`` exactly with a
-certificate matrix, ``stage`` (one of ``worstcase.STAGES``) is
-``complete`` exactly with a witness, and ``pointwise`` must equal
-``worstcase.pointwise_check``.  It rejects a witness block whose arrays
-do not have the shapes that ``n``, ``m`` and ``X`` give (exit 1), and
-it re-checks the recorded eigen-groups against ``F``
-(``worstcase.verify_groups``) before the sign condition.  Not
-re-checked yet: ``verdict``, ``attained``, ``bracket[0]``,
-``hard_shift`` and which failing stage is named; ``options``,
-``message``, ``reasons``, ``reason`` and ``notes`` are annotations.
+One test accepts a witness, ``verify.check_witness``: ``build_witness``
+runs it last, so ``worst-case`` writes only a witness that passed it,
+and ``verify`` runs it again on the recorded block and prints its
+results as four items.  ``verify`` recomputes each recorded margins
+block with the functions that wrote it (``_certificate_margins``,
+``_witness_margins``) and compares them entry by entry, ``steps``
+included; a non-finite recomputed number never matches.  The
+certificate must pass the test that admitted it in the search
+(``model.certificate_defect``, bound -0.5 ``radius.STRICT_EPS`` scale)
+at ``rho_cert``, a finite positive rate (exit 1 otherwise) that must be
+the bracket's upper end, with ``rho`` inside the bracket.  ``status`` is
+``ok`` exactly with a certificate matrix, ``stage`` (one of
+``worstcase.STAGES``) is ``complete`` exactly with a witness, and
+``verdict`` is one of ``radius.VERDICTS``; ``asymptotically-stable``
+needs ``rho_cert < 1`` or, with no constraints and no input,
+``max |eig(A)| < 1``.  It rejects a witness block whose arrays do not
+have the shapes that ``n``, ``m`` and ``X`` give (exit 1).  Not
+re-checked yet: the verdicts ``bounded`` and ``witness-unstable``,
+``attained``, ``bracket[0]`` and which failing stage is named;
+``options``, ``message``, ``reasons``, ``reason`` and ``notes`` are
+annotations.
 
 Exit codes:
 
@@ -45,8 +49,8 @@ Exit codes:
 * 1 -- input error: unreadable or unparseable file, inconsistent
   dimensions, or missing blocks.
 * 2 -- ``radius``: no certified rate at or below the search ceiling.
-* 3 -- ``worst-case``: no witness; the stage that stopped the pipeline
-  is named in the output.
+* 3 -- ``worst-case``: no witness, and none is written; the stage that
+  stopped the pipeline is named in the output.
 * 4 -- ``verify``: a recorded margin failed to reproduce or a check
   failed.
 
@@ -73,17 +77,16 @@ import numpy as np
 from .dynamic_iqc import IqcFilter, PlantData, augment_all
 from .model import (DimensionMismatchError, IqcSet, SystemData,
                     certificate_defect, margin_matrix)
-from .radius import RHO_MAX_LIMIT, STRICT_EPS, classify, spectral_radius
+from .radius import (RHO_MAX_LIMIT, STRICT_EPS, VERDICTS, classify,
+                     spectral_radius)
 from .verify import CHECK_HORIZON, check_witness
 from .worstcase import (
     STAGES,
     EigenGroup,
     WitnessReport,
     WorstCaseModes,
+    _constraint_forms,
     build_witness,
-    pointwise_check,
-    verify_direction,
-    verify_groups,
 )
 
 __all__ = ["main", "load_problem", "ProblemFormatError"]
@@ -470,10 +473,8 @@ def _witness_from_json(blk: dict, sys_data: SystemData,
         W_im = _matrix_from_json(W_im, f"{field}.W_im", W_re.shape)
         groups.append(EigenGroup(theta=_as_number(theta, f"{field}.theta"),
                                  W=W_re + 1j * W_im))
-    stacked = np.vstack([X, U])
-    H = tuple(stacked.T @ M @ stacked for M in iqcs)
     modes = WorstCaseModes(Q=None, d=d, X=X, U=U, F=F, groups=tuple(groups),
-                           H=H, v=v)
+                           H=_constraint_forms(X, U, iqcs), v=v)
     gain = None if gain is None else _matrix_from_json(gain, "witness.gain", (m, n))
     _require(isinstance(pointwise, bool),
              "witness.pointwise: expected true or false")
@@ -544,9 +545,8 @@ def cmd_worst_case(args) -> int:
                      {"tol": tol, "rho_max": rho_max, "horizon": horizon})
     report.update(stage=stage, reason=reason)
 
-    code = EXIT_NO_WITNESS
     if outcome is not None and outcome.ok:
-        wc = check_witness(sys_data, outcome.report, iqcs)
+        wc = outcome.check
         report["witness"] = _witness_json(outcome.report)
         report["margins"]["witness"] = _witness_margins(wc)
         report["margins"]["check_horizon"] = CHECK_HORIZON
@@ -561,17 +561,13 @@ def cmd_worst_case(args) -> int:
             margin = float(np.min(wc.iqc_margins))
             print(f"constraint sum margin over {wc.steps} steps = "
                   f"{margin:.3e}")
-        if wc.ok:
-            code = EXIT_OK
-        else:
-            print("re-verification failed; see the report margins")
     else:
         print(f"no witness: stage = {stage}")
         print(f"reason: {reason}")
     _write_out(args.out, report)
     if args.out:
         print(f"report written to {args.out}")
-    return code
+    return EXIT_OK if report["witness"] is not None else EXIT_NO_WITNESS
 
 
 def _load_report(path: str) -> dict:
@@ -636,10 +632,13 @@ def cmd_verify(args) -> int:
     _require(isinstance(cert_blk, dict), "certificate: expected an object")
     _require(isinstance(margins_blk, dict), "margins: expected an object")
     has_cert = cert_blk.get("P") is not None
+    verdict = report.get("verdict")
     if report["kind"] == "radius":
         status = report.get("status")
         item("headline-status", status == ("ok" if has_cert else "no-certificate"),
              f"status {status!r}, certificate matrix present {has_cert}")
+        _require(verdict in VERDICTS,
+                 f"verdict: expected one of {VERDICTS}, got {verdict!r}")
     else:
         stage = report.get("stage")
         _require(stage in STAGES, f"stage: expected one of {STAGES}, got {stage!r}")
@@ -691,6 +690,15 @@ def cmd_verify(args) -> int:
              f"no certificate matrix, so no rate may be claimed: rho "
              f"{_fmt(rho)}, bracket {bracket!r} (need rho and bracket[1] null)")
 
+    if verdict == "asymptotically-stable":
+        # classify's two proofs: a certified rate below one, or, with no
+        # constraints and no input, the eigenvalues of A.
+        eig = float(np.abs(np.linalg.eigvals(sys_data.A)).max())
+        free = not len(iqcs) and not np.any(sys_data.B)
+        item("headline-verdict", has_cert and rho_c < 1.0 or free and eig < 1.0,
+             f"needs certificate rate {_fmt(cert_blk.get('rho_cert'))} < 1, or "
+             f"no constraints and no input with max |eig(A)| {eig:.9g} < 1")
+
     if wit_blk is not None:
         _require(isinstance(wit_blk, dict), "witness: expected an object")
         recorded = margins_blk.get("witness")
@@ -704,24 +712,22 @@ def cmd_verify(args) -> int:
         # Huge entries overflow to non-finite numbers, which fail below.
         with np.errstate(over="ignore", invalid="ignore"):
             wrep = _witness_from_json(wit_blk, sys_data, iqcs)
-            wc = check_witness(sys_data, wrep, iqcs, horizon=CHECK_HORIZON)
-            modes = wrep.modes
-            defect = verify_groups(modes) or verify_direction(modes, modes.v)
-            pointwise = pointwise_check(modes)
+            wc = check_witness(sys_data, wrep, iqcs)
         item("witness-margins-reproduce",
              _reproduces(recorded, _witness_margins(wc)),
              f"dynamics {wc.dynamics_residual:.3e}, "
              f"drift {wc.norm_drift:.3e}, |Xv| {wc.direction_norm:.6g}, "
              f"steps {wc.steps}")
-        item("witness-checks", wc.ok,
+        failed = set(wc.failed)
+        item("witness-checks", failed <= {"technical condition", "pointwise"},
              f"dynamics ok {wc.dynamics_ok}, sums ok {wc.iqc_ok}, "
-             f"norm ok {wc.norm_ok}, direction ok {wc.direction_ok}, "
-             f"gain ok {wc.gain_ok}")
-        item("technical-condition", defect == "",
-             defect if defect else "group-projected forms nonnegative")
-        item("witness-pointwise", wrep.pointwise == pointwise,
+             f"norm ok {wc.norm_ok}, gain ok {wc.gain_ok}, hard shift "
+             f"{wrep.hard_shift} (recomputed {wc.hard_shift})")
+        item("technical-condition", "technical condition" not in failed,
+             wc.condition_defect or "group-projected forms nonnegative")
+        item("witness-pointwise", "pointwise" not in failed,
              f"recorded {str(wrep.pointwise).lower()}, "
-             f"recomputed {str(pointwise).lower()}")
+             f"recomputed {str(wc.pointwise).lower()}")
 
     ok = not failures
     print(f"verification: {'PASS' if ok else 'FAIL'}")

@@ -41,7 +41,6 @@ __all__ = [
     "margin_matrix",
     "certificate_defect",
     "iqc_partial_sums",
-    "dynamics_residual",
     "DYNAMICS_RTOL",
     "simulate",
 ]
@@ -373,21 +372,16 @@ def iqc_partial_sums(traj: Trajectory, iqcs: IqcSet) -> list[np.ndarray]:
     return [np.cumsum(_row_forms(Z, M)) for M in iqcs]
 
 
-def dynamics_residual(sys: SystemData, traj: Trajectory) -> float:
-    """max_k ||x_{k+1} - A x_k - B u_k|| / (1 + ||x_k||).
+def _residual_and_state_norms(sys: SystemData,
+                              traj: Trajectory) -> tuple[float, np.ndarray]:
+    """The dynamics residual max_k ||x_{k+1} - A x_k - B u_k|| / (1 + ||x_k||)
+    and every ``||x_k||``, from one pass of norms.
 
     The row norms are not rescaled, so a state with an entry beyond about
     1.3e154 gives inf / inf = NaN even when every state is finite; a NaN
-    here says nothing about the dynamics, and callers that must reject
-    overflowed orbits check finiteness themselves.  That overflow is
-    expected, so it raises no warning.
+    residual fails ``DYNAMICS_RTOL``, as an overflowed orbit should.  That
+    overflow is expected, so it raises no warning.
     """
-    return _residual_and_state_norms(sys, traj)[0]
-
-
-def _residual_and_state_norms(sys: SystemData,
-                              traj: Trajectory) -> tuple[float, np.ndarray]:
-    """``dynamics_residual`` and every ``||x_k||``, from one pass of norms."""
     Xt = traj.states.T
     with np.errstate(over="ignore", invalid="ignore"):
         norms = _row_norms(traj.states)

@@ -95,6 +95,9 @@ RHO_MAX_LIMIT = 1e50
 # Strict-feasibility threshold, relative to the problem scale: a pair
 # proves a rate above the radius with margin <= -0.5 STRICT_EPS scale.
 STRICT_EPS = 1e-8
+# The classifications ``classify`` returns.
+VERDICTS = ("asymptotically-stable", "bounded", "witness-unstable",
+            "inconclusive")
 
 
 @dataclass
@@ -134,7 +137,7 @@ class RadiusCertificate:
 
 @dataclass
 class StabilityVerdict:
-    classification: str    # asymptotically-stable | bounded | inconclusive | witness-unstable
+    classification: str    # one of VERDICTS
     certificate: RadiusCertificate | None
     trajectory: Trajectory | None = None
     reasons: tuple[str, ...] = ()

@@ -18,11 +18,12 @@ its one-step difference obeys the algebraic identity
 ``lyapunov_trace`` evaluates both sides and reports their agreement.
 
 The one-step dynamics residual and its tolerance live in ``model``
-(``dynamics_residual``, ``DYNAMICS_RTOL``) and the orbit generator in
+(``_residual_and_state_norms``, ``DYNAMICS_RTOL``) and the orbit generator in
 ``worstcase`` (``mode_orbit``), shared with the witness pipeline.
-``check_witness`` regenerates the orbit over ``CHECK_HORIZON`` steps;
-its rows begin bit for bit with the witness trajectory.  Row forms and
-norms use ``model``'s column-major kernels.
+``check_witness``, the one test that accepts a witness (last in
+``worstcase.build_witness``, again in ``verify``), regenerates the orbit
+over ``CHECK_HORIZON`` steps; its rows begin bit for bit with the witness
+trajectory.  Row forms and norms use ``model``'s column-major kernels.
 
 The growth test states a horizon-bounded fact only (a half-versus-half
 comparison of state norms); a finite trajectory cannot certify a limit,
@@ -48,7 +49,9 @@ from .model import (
     margin_matrix,
 )
 from .radius import RadiusCertificate
-from .worstcase import SHORTENED_NOTE, WitnessReport, mode_orbit
+from .worstcase import (SHORTENED_NOTE, WitnessReport, _shift_from_rows,
+                        _shift_scale, mode_orbit, pointwise_check,
+                        verify_direction, verify_groups)
 
 __all__ = [
     "LyapunovTrace",
@@ -110,9 +113,11 @@ class TrajectoryDiagnostics:
 
 @dataclass(frozen=True)
 class WitnessCheck:
-    """Re-verification of a witness report over a fresh, longer orbit."""
+    """Re-verification of a witness report over a fresh, longer orbit;
+    ``failed`` names the tests that did not pass."""
 
     ok: bool
+    failed: tuple[str, ...]
     steps: int
     dynamics_residual: float
     dynamics_ok: bool
@@ -120,10 +125,12 @@ class WitnessCheck:
     iqc_ok: bool
     norm_drift: float         # max_k | ||F^k v|| - ||v|| |
     norm_ok: bool
-    direction_norm: float     # ||X v||
-    direction_ok: bool
+    direction_norm: float     # ||X v||, a margin of the sign condition
+    condition_defect: str     # eigen-group or sign-condition defect, or ""
     gain_residual: float      # nan when the report carries no gain
     gain_ok: bool
+    hard_shift: int | None    # worstcase.hard_iqc_shift, recomputed
+    pointwise: bool           # worstcase.pointwise_check, recomputed
     growing: bool
     notes: tuple[str, ...]
 
@@ -192,6 +199,8 @@ def strengthen_certificate(cert: RadiusCertificate) -> RadiusCertificate:
     if cert.P is None or cert.lambdas is None:
         raise ValueError("certificate carries no P or multipliers to rescale")
     rate = cert.rho_cert
+    if rate is None:
+        raise ValueError("certificate carries no certified rate to rescale")
     if not np.isfinite(rate) or rate >= 1.0:
         raise ValueError(
             f"strengthening needs a certified rate below one, got {rate}")
@@ -234,17 +243,18 @@ def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
 
 
 def check_witness(sys: SystemData, report: WitnessReport,
-                  iqcs: IqcSet | None = None, *,
-                  horizon: int = CHECK_HORIZON) -> WitnessCheck:
+                  iqcs: IqcSet | None = None) -> WitnessCheck:
     """Re-verify a witness report over a freshly generated orbit.
 
     Checks, each with its margin: the orbit satisfies the dynamics; all
     constraint partial sums stay above their recorded lower bounds for
-    every horizon up to ``horizon`` (shortened for a growth orbit, with a
-    note); the orbit coefficient norm ``||F^k v||`` is constant; the
-    direction is not in the null space of ``X``; and, when the report
-    carries a feedback gain, the inputs follow it.  Failures are
-    recorded in the result, not raised.
+    every horizon up to ``CHECK_HORIZON`` (shortened for a growth orbit,
+    with a note); the orbit coefficient norm ``||F^k v||`` is constant;
+    the groups and direction pass ``verify_groups`` and the sign
+    condition ``verify_direction``; a recorded feedback gain holds; and
+    ``hard_shift`` and ``pointwise`` are re-derived: the shift from this
+    orbit's first ``SHIFT_WINDOW`` rows, a bit-for-bit prefix of
+    ``hard_iqc_shift``'s.  Failures are recorded in the result, not raised.
     """
     if iqcs is None:
         iqcs = IqcSet.empty(sys.n + sys.m)
@@ -255,11 +265,9 @@ def check_witness(sys: SystemData, report: WitnessReport,
             f"report records {bounds.size} constraint bounds but the "
             f"problem supplies {len(iqcs)} constraints")
     notes: list[str] = []
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    Z, traj = mode_orbit(report.modes, horizon, float(report.growth))
-    if len(traj) < horizon:
+    modes = report.modes
+    Z, traj = mode_orbit(modes, CHECK_HORIZON, float(report.growth))
+    if len(traj) < CHECK_HORIZON:
         notes.append(SHORTENED_NOTE.format(len(traj)))
 
     diag = trajectory_diagnostics(sys, traj, iqcs)
@@ -267,12 +275,15 @@ def check_witness(sys: SystemData, report: WitnessReport,
     margins = diag.iqc_minima - bounds
     iqc_ok = bool(np.all(np.isfinite(margins) & (margins >= -IQC_SLACK)))
 
-    v_norm = float(np.linalg.norm(report.modes.v))
+    v_norm = float(np.linalg.norm(modes.v))
     drift = float(np.max(np.abs(_row_norms(Z) - v_norm)))
     norm_ok = drift <= NORM_DRIFT_TOL * (1.0 + v_norm)
 
-    direction_norm = float(np.linalg.norm(report.modes.X @ report.modes.v))
-    direction_ok = 0.0 < direction_norm < np.inf
+    direction_norm = float(np.linalg.norm(modes.X @ modes.v))
+    defect = verify_groups(modes) or verify_direction(modes, modes.v)
+    pointwise = pointwise_check(modes)
+    shift = None if len(iqcs) != 1 else _shift_from_rows(
+        Z, modes.H[0], _shift_scale(modes, iqcs.entries[0]))
 
     if report.gain is not None:
         K, U = np.asarray(report.gain, dtype=float), traj.inputs
@@ -285,14 +296,18 @@ def check_witness(sys: SystemData, report: WitnessReport,
         gain_ok = True
         notes.append("report carries no feedback gain; relation not checked")
 
-    ok = bool(diag.dynamics_ok and iqc_ok and norm_ok and direction_ok
-              and gain_ok)
+    passed = {"dynamics": diag.dynamics_ok, "constraint sums": iqc_ok,
+              "norm drift": norm_ok, "technical condition": not defect,
+              "gain": gain_ok, "hard shift": report.hard_shift == shift,
+              "pointwise": report.pointwise == pointwise}
+    failed = tuple(name for name, ok in passed.items() if not ok)
     return WitnessCheck(
-        ok=ok, steps=diag.steps,
+        ok=not failed, failed=failed, steps=diag.steps,
         dynamics_residual=diag.dynamics_residual,
         dynamics_ok=diag.dynamics_ok,
         iqc_margins=margins, iqc_ok=iqc_ok,
         norm_drift=drift, norm_ok=norm_ok,
-        direction_norm=direction_norm, direction_ok=direction_ok,
+        direction_norm=direction_norm, condition_defect=defect,
         gain_residual=gain_residual, gain_ok=gain_ok,
+        hard_shift=shift, pointwise=pointwise,
         growing=diag.growing, notes=tuple(notes))

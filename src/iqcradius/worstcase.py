@@ -15,30 +15,32 @@ extraction, rank factorization, orthogonal factor, eigen grouping,
 technical condition, trajectory assembly.  Every stage after the radius
 precheck fails one way: it raises ``ValueError`` with the reason, and
 ``build_witness`` alone turns that into a ``WitnessOutcome`` naming the
-stage.  Every certificate the pipeline emits is re-verified by direct
-numerical checks; a failed check downgrades the outcome rather than
-weakening the claim.
+stage.  The last stage accepts a witness by one test only,
+``verify.check_witness``, the same one ``verify`` runs on a report; a
+failed check downgrades the outcome rather than weakening the claim.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import (
-    DYNAMICS_RTOL,
     IqcSet,
     SystemData,
     Trajectory,
     _lyapunov_stack,
     _row_forms,
-    dynamics_residual,
     lyapunov_adjoint,
     symmetrize,
 )
 from .sdp_engine import SdpProblem, solve, svec_basis
+
+if TYPE_CHECKING:
+    from .verify import WitnessCheck
 
 __all__ = [
     "EigenGroup",
@@ -153,7 +155,8 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class WitnessOutcome:
-    """Result of ``build_witness``; ``reason`` names the failing stage."""
+    """Result of ``build_witness``; ``reason`` names the failing stage.
+    ``check`` is the re-check that accepted ``report``."""
 
     ok: bool
     stage: str
@@ -161,6 +164,7 @@ class WitnessOutcome:
     report: WitnessReport | None = None
     trajectory: Trajectory | None = None
     modes: WorstCaseModes | None = None
+    check: WitnessCheck | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +698,33 @@ def feedback_gain(modes: WorstCaseModes) -> np.ndarray | None:
     return K
 
 
+def _constraint_forms(X: np.ndarray, U: np.ndarray,
+                      iqcs: IqcSet) -> tuple[np.ndarray, ...]:
+    """H_i = [X; U]' M_i [X; U], symmetrized.  The pipeline and a report's
+    reader both form them here, so a re-derived shift is bit-identical."""
+    Z = np.vstack([X, U])
+    return tuple(0.5 * (G + G.T) for G in (Z.T @ M @ Z for M in iqcs))
+
+
+def _shift_scale(modes: WorstCaseModes, M: np.ndarray) -> float:
+    """``||[X; U]||_2^2 ||M||_2``, the size at which H was rounded (inf
+    past the float range)."""
+    z = float(np.linalg.norm(np.vstack([modes.X, modes.U]), 2))
+    return z * z * float(np.linalg.norm(M, 2))
+
+
+def _shift_from_rows(Z: np.ndarray, H: np.ndarray, scale: float) -> int | None:
+    """The scan of ``hard_iqc_shift`` over the orbit rows ``Z[:SHIFT_WINDOW]``
+    (copied to the layout ``mode_orbit`` gives, so the sums round alike)."""
+    Z = np.asfortranarray(Z[:SHIFT_WINDOW])
+    sums = np.cumsum(_row_forms(Z, H))
+    tol = SHIFT_RTOL * scale * float(np.einsum("ki,ki->", Z, Z))
+    n_star = int(np.argmax(sums <= sums.min() + tol)) + 1
+    if n_star > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
+        return None
+    return n_star
+
+
 def hard_iqc_shift(modes: WorstCaseModes,
                    scale: float | None = None) -> int | None:
     """Start offset making the single constraint's partial sums nonnegative.
@@ -703,7 +734,7 @@ def hard_iqc_shift(modes: WorstCaseModes,
     ``SHIFT_RTOL * scale * sum_k |z_k|^2`` of the minimum, provided it lies
     outside the trailing tenth of the window (a minimum at the edge cannot
     be certified: the sums may keep decreasing).  ``scale`` is the size at
-    which H was formed, ``||[X; U]||^2 ||M||``; by default ``||H||``.
+    which H was formed, ``_shift_scale``; by default ``||H||``.
     Requires exactly one constraint matrix.
     """
     if len(modes.H) != 1:
@@ -711,12 +742,7 @@ def hard_iqc_shift(modes: WorstCaseModes,
     if scale is None:
         scale = float(np.linalg.norm(modes.H[0], 2))
     Z, _ = mode_orbit(modes, SHIFT_WINDOW - 1)
-    sums = np.cumsum(_row_forms(Z, modes.H[0]))
-    tol = SHIFT_RTOL * scale * float(np.einsum("ki,ki->", Z, Z))
-    n_star = int(np.argmax(sums <= sums.min() + tol)) + 1
-    if n_star > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
-        return None
-    return n_star
+    return _shift_from_rows(Z, modes.H[0], scale)
 
 
 def pointwise_check(modes: WorstCaseModes) -> bool:
@@ -760,8 +786,12 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     A ``horizon`` below one raises ``ValueError`` before any solve.  After
     the radius precheck every stage fails by raising ``ValueError``, and
     one handler returns its reason under the stage's name; failures from
-    the technical condition on also carry the modes built so far.
+    the technical condition on also carry the modes built so far.  The
+    witness is accepted only when ``verify.check_witness`` passes it; a
+    failed re-check fails trajectory assembly and names the failed tests.
     """
+    from .verify import check_witness
+
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
     if horizon < 1:
@@ -826,8 +856,7 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
             raise ValueError(f"dual witness inconsistent: the stationary factor "
                              f"misses an orthogonal transition by {residual:.3e}")
         X, U = _repair_factor(wsys, X, U, F)
-        Z = np.vstack([X, U])
-        H = tuple(symmetrize(Z.T @ M @ Z, name="H") for M in iqcs)
+        H = _constraint_forms(X, U, iqcs)
 
         stage = "eigen-grouping"
         groups = tuple(eigen_group(F))
@@ -838,36 +867,30 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
 
         stage = "trajectory-assembly"
         traj = build_trajectory(modes, horizon, growth)
-        if not (np.isfinite(traj.states).all() and np.isfinite(traj.inputs).all()):
-            raise ValueError(f"growth-weighted orbit overflows within {horizon} steps")
-        residual = dynamics_residual(sys, traj)
-        if residual > DYNAMICS_RTOL:
-            raise ValueError(f"dynamics residual {residual:.3e} exceeds tolerance")
+        notes: list[str] = []
+        if len(traj) < horizon:
+            notes.append(SHORTENED_NOTE.format(len(traj)))
+        gain = feedback_gain(modes)
+        if gain is None:
+            notes.append("no static gain: the state factor is column rank deficient")
+        shift = None
+        if len(iqcs) == 1:
+            shift = hard_iqc_shift(modes, _shift_scale(modes, iqcs.entries[0]))
+            if shift is None:
+                notes.append("no certified shift: the constraint partial sums "
+                             "keep decreasing through the scan window")
+        report = WitnessReport(modes=modes, gain=gain,
+                               iqc_lower_bounds=iqc_sum_lower_bound(modes),
+                               hard_shift=shift, pointwise=pointwise_check(modes),
+                               growth=growth, notes=tuple(notes))
+        check = check_witness(sys, report, iqcs)
+        if not check.ok:
+            raise ValueError("witness re-check failed: " + ", ".join(check.failed))
     except ValueError as err:
         reason = str(err)
         if stage == "technical-condition":
             reason = f"sign condition not certified ({reason})"
         return fail(stage, reason, modes)
 
-    notes: list[str] = []
-    if len(traj) < horizon:
-        notes.append(SHORTENED_NOTE.format(len(traj)))
-    gain = feedback_gain(modes)
-    if gain is None:
-        notes.append("no static gain: the state factor is column rank deficient")
-    bounds = iqc_sum_lower_bound(modes)
-    shift = None
-    if len(iqcs) == 1:
-        shift = hard_iqc_shift(modes, float(np.linalg.norm(Z, 2)) ** 2
-                               * float(np.linalg.norm(iqcs.entries[0], 2)))
-        if shift is None:
-            notes.append("no certified shift: the constraint partial sums "
-                         "keep decreasing through the scan window")
-    pointwise = pointwise_check(modes)
-
-    report = WitnessReport(modes=modes, gain=gain,
-                           iqc_lower_bounds=bounds, hard_shift=shift,
-                           pointwise=pointwise, growth=growth,
-                           notes=tuple(notes))
-    return WitnessOutcome(ok=True, stage="complete", reason="",
-                          report=report, trajectory=traj, modes=modes)
+    return WitnessOutcome(ok=True, stage="complete", reason="", report=report,
+                          trajectory=traj, modes=modes, check=check)

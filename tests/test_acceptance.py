@@ -180,7 +180,7 @@ def test_criterion_07_witness_soundness():
         if not outcome.ok:
             failures.append(f"{name}: {outcome.stage}")
             continue
-        result = check_witness(sys, outcome.report, iqcs, horizon=10_000)
+        result = check_witness(sys, outcome.report, iqcs)
         checks = (result.dynamics_ok and result.iqc_ok
                   and result.norm_drift <= 1e-9 and result.direction_norm > 0
                   and result.gain_ok)

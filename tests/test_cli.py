@@ -318,17 +318,84 @@ def test_verify_rechecks_over_the_fixed_horizon(tmp_path, monkeypatch, recorded)
     doc = json.loads(report_path.read_text())
     doc["margins"]["check_horizon"] = recorded
     report_path.write_text(json.dumps(doc))
-    horizons = []
+    steps = []
     check_witness = cli.check_witness
 
-    def recording(sys, report, iqcs, horizon):
-        horizons.append(horizon)
-        return check_witness(sys, report, iqcs, horizon=cli.CHECK_HORIZON)
+    def recording(sys, report, iqcs):
+        result = check_witness(sys, report, iqcs)
+        steps.append(result.steps)
+        return result
 
     monkeypatch.setattr(cli, "check_witness", recording)
     code, out = run("verify", str(report_path), problem)
-    assert horizons == [cli.CHECK_HORIZON]
+    assert steps == [cli.CHECK_HORIZON]
     assert code == 0, out
+
+
+def test_worst_case_without_an_accepted_witness_exits_3(tmp_path, monkeypatch):
+    """A witness the re-check refuses is not written: the report names
+    trajectory assembly, carries no witness, exits 3 and verifies."""
+    problem = write(tmp_path, "p.json", ROTATION_IQC)
+    report_path = tmp_path / "report.json"
+    monkeypatch.setattr("iqcradius.verify.NORM_DRIFT_TOL", -1.0)
+    code, out = run("worst-case", problem, "--out", str(report_path))
+    assert code == 3, out
+    doc = json.loads(report_path.read_text())
+    assert doc["stage"] == "trajectory-assembly"
+    assert doc["reason"] == "witness re-check failed: norm drift"
+    assert doc["witness"] is None and "witness" not in doc["margins"]
+    monkeypatch.undo()
+    code, out = run("verify", str(report_path), problem)
+    assert code == 0, out
+
+
+def _forged(tmp_path, command, problem, **fields):
+    """``verify``'s exit code and output on a fresh ``command`` report of
+    ``problem`` with top-level or witness ``fields`` replaced."""
+    report_path = tmp_path / "report.json"
+    assert run(command, problem, "--out", str(report_path))[0] == 0
+    doc = json.loads(report_path.read_text())
+    for key, value in fields.items():
+        block = doc if key in doc else doc["witness"]
+        assert block[key] != value
+        block[key] = value
+    report_path.write_text(json.dumps(doc))
+    return run("verify", str(report_path), problem)
+
+
+@pytest.mark.parametrize("verdict, code, expected", [
+    ("asymptotically-stable", 4, "FAIL headline-verdict"),
+    ("stable", 1, "error: verdict: expected one of ('asymptotically-stable'"),
+])
+def test_verify_rechecks_the_stability_verdict(tmp_path, verdict, code, expected):
+    """A verdict ``classify`` never returns is an input error, and a
+    stability verdict must be proven by the report or the problem."""
+    problem = str(ROOT / "tests" / "data" / "rotation_iqc.problem.json")
+    got, out = _forged(tmp_path, "radius", problem, verdict=verdict)
+    assert got == code, out
+    assert expected in out
+
+
+def test_verify_accepts_stability_proven_by_eigenvalues(tmp_path):
+    """Without constraints and input the eigenvalues of A prove stability,
+    even where the certified rate of the bracket lies above one."""
+    problem = write(tmp_path, "p.json", {
+        "dims": {"n": 2, "m": 0}, "A": mat([[0.9999, 1.0], [0.0, 0.9999]])})
+    report_path = tmp_path / "report.json"
+    assert run("radius", problem, "--out", str(report_path))[0] == 0
+    doc = json.loads(report_path.read_text())
+    assert doc["verdict"] == "asymptotically-stable"
+    assert doc["certificate"]["rho_cert"] > 1.0
+    code, out = run("verify", str(report_path), problem)
+    assert code == 0, out
+    assert "PASS headline-verdict" in out
+
+
+def test_verify_rederives_the_hard_shift(tmp_path):
+    problem = str(ROOT / "tests" / "data" / "rotation_iqc.problem.json")
+    code, out = _forged(tmp_path, "worst-case", problem, hard_shift=2)
+    assert code == 4, out
+    assert "FAIL witness-checks" in out and "hard shift 2 (recomputed 1)" in out
 
 
 def _grown(m, rows=0, cols=0):
@@ -734,9 +801,9 @@ def test_stored_reports_still_verify(tmp_path, report, problem):
 TYPE_EDITS = (None, "1.5", [], {}, True, [[None]], float("nan"))
 NUMBER_EDITS = (1e308, -1)
 # Leaves ``verify`` does not re-check: the annotations, and the claims
-# that need the attaining pair or the hard-shift scan (ROADMAP item 11).
+# that need the attaining pair or a proven lower end (ROADMAP item 11).
 UNCHECKED_LEAVES = ("options", "message", "reasons", "reason", "witness.notes",
-                    "verdict", "attained", "witness.hard_shift", "bracket[0]")
+                    "attained", "bracket[0]")
 
 
 def _leaf_paths(node, path=()):

@@ -148,6 +148,16 @@ def test_classify_plane_rotation_bounded_with_witness():
     assert norms.min() > 0
 
 
+def test_classify_attaches_only_an_accepted_witness(monkeypatch):
+    """A witness the re-check refuses is not attached to the verdict."""
+    monkeypatch.setattr("iqcradius.verify.NORM_DRIFT_TOL", -1.0)
+    verdict = classify(SystemData(A=[[0.0, 1.0], [-1.0, 0.0]]), IqcSet.empty(2))
+    assert verdict.classification == "bounded"
+    assert verdict.trajectory is None
+    assert verdict.reasons == ("no worst-case witness: witness re-check "
+                               "failed: norm drift",)
+
+
 def test_classify_opposite_sign_pair_certifies_any_rate():
     # Weighting -M makes the rate inequality feasible at every rate, so
     # the computed radius is zero and the verdict is stability; the

@@ -20,6 +20,7 @@ from iqcradius.model import (
 )
 from iqcradius.radius import classify, spectral_radius
 from iqcradius.verify import (
+    CHECK_HORIZON,
     check_witness,
     lyapunov_trace,
     strengthen_certificate,
@@ -125,16 +126,20 @@ def test_strengthen_requires_contraction():
 
 
 @pytest.mark.parametrize("missing", [{"P": None, "rho_cert": None},
-                                     {"lambdas": None}],
-                         ids=["P", "lambdas"])
+                                     {"lambdas": None}, {"rho_cert": None}],
+                         ids=["P", "lambdas", "rho_cert"])
 def test_certificate_without_p_or_multipliers_is_refused(missing):
     """Neither re-check substitutes a rate or zero multipliers for a
-    missing part; both refuse with ``ValueError``."""
+    missing part; both refuse with ``ValueError``.  ``lyapunov_trace``
+    evaluates at rate one, so a missing rate leaves it working."""
     sys, iqcs = gradient_instance(2.0 / 11.0)
     cert = replace(spectral_radius(sys, iqcs), **missing)
     with pytest.raises(ValueError, match="carries no"):
         strengthen_certificate(cert)
     traj = sector_trajectory(sys, 5, seed=0)
+    if missing == {"rho_cert": None}:
+        assert lyapunov_trace(sys, traj, cert, iqcs).identity_ok
+        return
     with pytest.raises(ValueError, match="carries no"):
         lyapunov_trace(sys, traj, cert, iqcs)
 
@@ -171,16 +176,10 @@ def test_diagnostics_of_a_zero_step_trajectory():
     assert np.array_equal(diag.iqc_minima, [np.inf, np.inf])
 
 
-def test_check_witness_rejects_a_zero_horizon():
-    sys, report = flip_witness()
-    with pytest.raises(ValueError, match="horizon must be at least 1"):
-        check_witness(sys, report, IqcSet.empty(2), horizon=0)
-
-
 def test_check_witness_computes_the_state_norms_once(monkeypatch):
     sys = SystemData(A=[[0.0, 1.0], [-1.0, 0.0]])
     outcome = build_witness(sys, IqcSet.empty(2), rho=1.0)
-    _, traj = mode_orbit(outcome.report.modes, 500)
+    _, traj = mode_orbit(outcome.report.modes, CHECK_HORIZON)
     seen = []
     row_norms = iqcradius.model._row_norms
 
@@ -190,7 +189,7 @@ def test_check_witness_computes_the_state_norms_once(monkeypatch):
 
     monkeypatch.setattr(iqcradius.model, "_row_norms", recording)
     monkeypatch.setattr("iqcradius.verify._row_norms", recording)
-    assert check_witness(sys, outcome.report, IqcSet.empty(2), horizon=500).ok
+    assert check_witness(sys, outcome.report, IqcSet.empty(2)).ok
     states = [Z for Z in seen if len(Z) >= len(traj) and Z.shape[1] == traj.n
               and np.array_equal(Z, traj.states[:len(Z)])]
     assert len(states) == 1
@@ -213,8 +212,19 @@ def test_check_witness_direction_corruption_fails():
     bad = replace(report, modes=bad_modes)
     result = check_witness(sys, bad, IqcSet.empty(2))
     assert not result.ok
-    assert not result.direction_ok
+    assert "null space" in result.condition_defect
     assert result.direction_norm == pytest.approx(0.0, abs=1e-12)
+
+
+def test_check_witness_has_one_null_space_threshold():
+    """A direction whose image ``Xv`` is positive but below the sign
+    condition's threshold fails the re-check, as it fails ``verify``."""
+    sys, report = flip_witness()
+    tiny = replace(report, modes=replace(report.modes, v=np.array([1e-9, 1.0])))
+    result = check_witness(sys, tiny, IqcSet.empty(2))
+    assert 0.0 < result.direction_norm < 1e-8
+    assert not result.ok
+    assert result.failed == ("technical condition",)
 
 
 def test_check_witness_gain_corruption_fails():
@@ -240,7 +250,7 @@ def test_check_witness_caps_growing_horizon():
     sys = SystemData(A=1.5 * np.array([[np.cos(theta), np.sin(theta)],
                                        [-np.sin(theta), np.cos(theta)]]))
     outcome = build_witness(sys, IqcSet.empty(2), rho=1.5)
-    result = check_witness(sys, outcome.report, IqcSet.empty(2), horizon=10_000)
+    result = check_witness(sys, outcome.report, IqcSet.empty(2))
     assert result.ok
     assert result.growing
     assert result.steps < 10_000
@@ -265,4 +275,4 @@ def test_check_witness_orbit_extends_the_witness_trajectory(sys, iqcs, rho):
     assert Z.shape == (501, report.modes.d)
     assert longer.states[:301].tobytes() == traj.states.tobytes()
     assert longer.inputs[:300].tobytes() == traj.inputs.tobytes()
-    assert check_witness(sys, report, iqcs, horizon=500).ok
+    assert check_witness(sys, report, iqcs).ok

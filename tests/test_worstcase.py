@@ -574,7 +574,7 @@ def _raise_stub(*args, **kwargs):
 
 _CLAIMED_BOUNDARY = types.SimpleNamespace(rho=1.0, attained=True)
 
-# (system, iqcs, rho, radius_cert, stubbed worstcase attribute, stage,
+# (system, iqcs, rho, radius_cert, monkeypatched target and value, stage,
 #  reason, whether the outcome carries modes)
 _STAGE_CASES = [
     (SystemData(A=[[1.0]], B=[[0.0]]), None, 1.0, None, None,
@@ -597,17 +597,20 @@ _STAGE_CASES = [
      "sign condition not certified (relaxation: relaxation optimum is not "
      "rank one (top eigenvalue carries 0.270737 of the trace))", True),
     (SystemData(A=rotation(1.0)), None, 1.0, None,
-     ("rank_factor", _raise_stub), "rank-factorization", "stub failure", False),
+     ("iqcradius.worstcase.rank_factor", _raise_stub), "rank-factorization",
+     "stub failure", False),
     (SystemData(A=rotation(1.0)), None, 1.0, None,
-     ("recover_orthogonal_factor", lambda X, G: np.zeros((X.shape[1],) * 2)),
+     ("iqcradius.worstcase.recover_orthogonal_factor",
+      lambda X, G: np.zeros((X.shape[1],) * 2)),
      "orthogonal-factor",
      "dual witness inconsistent: the stationary factor misses an "
      "orthogonal transition by 1.000e+00", False),
     (SystemData(A=rotation(1.0)), None, 1.0, None,
-     ("eigen_group", _raise_stub), "eigen-grouping", "stub failure", False),
+     ("iqcradius.worstcase.eigen_group", _raise_stub), "eigen-grouping",
+     "stub failure", False),
     (SystemData(A=rotation(1.0)), None, 1.0, None,
-     ("dynamics_residual", lambda sys, traj: 1.0), "trajectory-assembly",
-     "dynamics residual 1.000e+00 exceeds tolerance", True),
+     ("iqcradius.verify.DYNAMICS_RTOL", -1.0), "trajectory-assembly",
+     "witness re-check failed: dynamics", True),
 ]
 
 
@@ -616,14 +619,16 @@ _STAGE_CASES = [
 def test_every_failure_stage_and_reason(monkeypatch, sys, iqcs, rho, cert,
                                         stub, stage, reason, has_modes):
     """Each stage of ``build_witness`` fails under its own name with its
-    own reason; the four stages no public input reached are stubbed."""
+    own reason; the three stages no public input reached are stubbed, and
+    trajectory assembly fails by a ``verify`` tolerance no orbit meets."""
     if stub is not None:
-        monkeypatch.setattr(worstcase, *stub)
+        monkeypatch.setattr(*stub)
     outcome = build_witness(sys, iqcs, rho=rho, radius_cert=cert)
     assert not outcome.ok
     assert (outcome.stage, outcome.reason) == (stage, reason)
     assert (outcome.modes is not None) == has_modes
     assert outcome.report is None and outcome.trajectory is None
+    assert outcome.check is None
 
 
 def test_stages_name_every_outcome():
