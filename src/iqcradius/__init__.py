@@ -59,14 +59,11 @@ from .worstcase import (
     WitnessOutcome,
     WitnessReport,
     WorstCaseModes,
-    build_trajectory,
     build_witness,
     eigen_group,
     extract_dual_witness,
     feedback_gain,
-    hard_iqc_shift,
     iqc_sum_lower_bound,
-    pointwise_check,
     rank_factor,
     recover_orthogonal_factor,
     technical_condition,
@@ -97,7 +94,6 @@ __all__ = [
     "attainment_check",
     "augment",
     "augment_all",
-    "build_trajectory",
     "build_witness",
     "check_witness",
     "classify",
@@ -107,14 +103,12 @@ __all__ = [
     "extract_dual_witness",
     "feedback_gain",
     "filtered_signal",
-    "hard_iqc_shift",
     "iqc_partial_sums",
     "iqc_sum_lower_bound",
     "lyapunov_adjoint",
     "lyapunov_operator",
     "lyapunov_trace",
     "margin_matrix",
-    "pointwise_check",
     "quadratic_form",
     "rank_factor",
     "recover_orthogonal_factor",

@@ -22,9 +22,10 @@ and the constraint lower bounds), and the verification margins that
 and imaginary parts so reports round-trip exactly.
 
 One test accepts a witness, ``verify.check_witness``: ``build_witness``
-runs it last, so ``worst-case`` writes only a witness that passed it,
-and ``verify`` runs it again on the recorded block and prints its
-results as four items.  ``verify`` recomputes each recorded margins
+runs its tests last, on the orbit it returns, so ``worst-case`` writes
+only a witness that passed them, and ``verify`` walks the same orbit
+from the recorded block, runs the tests again and prints the results
+as four items.  ``verify`` recomputes each recorded margins
 block with the functions that wrote it (``_certificate_margins``,
 ``_witness_margins``) and compares them entry by entry, ``steps``
 included; a non-finite recomputed number never matches.  The
@@ -47,19 +48,19 @@ Exit codes:
 
 * 0 -- success.
 * 1 -- input error: unreadable or unparseable file, inconsistent
-  dimensions, or missing blocks.
+  dimensions, missing blocks, or a usage error (an unknown flag, a
+  missing argument, a flag value that does not parse).
 * 2 -- ``radius``: no certified rate at or below the search ceiling.
 * 3 -- ``worst-case``: no witness, and none is written; the stage that
   stopped the pipeline is named in the output.
 * 4 -- ``verify``: a recorded margin failed to reproduce or a check
   failed.
 
-The environment variables ``IQCRADIUS_TOL``, ``IQCRADIUS_RHO_MAX`` and
-``IQCRADIUS_HORIZON`` override the built-in defaults; a problem file's
-``options`` block overrides the environment, and command-line flags
-override everything.  A bad value from any of them (see
-``_check_option``) is an input error, and so is a ``rho_max`` above
-``radius.RHO_MAX_LIMIT`` = 1e50.
+The environment variables ``IQCRADIUS_TOL`` and ``IQCRADIUS_RHO_MAX``
+override the built-in defaults; a problem file's ``options`` block
+overrides the environment, and command-line flags override everything.
+A bad value from any of them (see ``_check_option``) is an input error,
+and so is a ``rho_max`` above ``radius.RHO_MAX_LIMIT`` = 1e50.
 """
 
 from __future__ import annotations
@@ -99,12 +100,10 @@ EXIT_VERIFY_FAILED = 4
 
 DEFAULT_TOL = 1e-6
 DEFAULT_RHO_MAX = 1e3
-DEFAULT_HORIZON = 300
 # Agreement required between recorded and recomputed margins.
 REPRODUCE_RTOL = 1e-9
 
-_OPTION_DEFAULTS = {"horizon": DEFAULT_HORIZON, "rho_max": DEFAULT_RHO_MAX,
-                    "tol": DEFAULT_TOL}
+_OPTION_DEFAULTS = {"rho_max": DEFAULT_RHO_MAX, "tol": DEFAULT_TOL}
 _OPTION_KEYS = tuple(_OPTION_DEFAULTS)
 _FILTER_KEYS = ("A_psi", "B_psi1", "B_psi2", "C_psi", "D_psi1", "D_psi2", "M")
 # The keys of a report's witness block and of each eigen-group, in the
@@ -188,20 +187,14 @@ def _is_number(value) -> bool:
 
 def _check_option(key: str, value, source: str) -> None:
     """An option is a finite number > 0, ``rho_max`` at most
-    ``RHO_MAX_LIMIT`` (beyond it the engine's rho^4 products overflow),
-    and ``horizon`` an integer >= 1; ``source`` names where the value
-    came from."""
-    if key == "horizon":
-        _require(isinstance(value, int) and not isinstance(value, bool)
-                 and value >= 1,
-                 f"{source}: expected a positive integer, got {value!r}")
-    else:
-        limit = RHO_MAX_LIMIT if key == "rho_max" else sys.float_info.max
-        bound = f" up to {limit:g}" if key == "rho_max" else ""
-        # False for NaN, inf and integers too large for a float.
-        _require(_is_number(value) and 0 < value <= limit,
-                 f"{source}: expected a finite positive number{bound}, "
-                 f"got {value!r}")
+    ``RHO_MAX_LIMIT`` (beyond it the engine's rho^4 products overflow);
+    ``source`` names where the value came from."""
+    limit = RHO_MAX_LIMIT if key == "rho_max" else sys.float_info.max
+    bound = f" up to {limit:g}" if key == "rho_max" else ""
+    # False for NaN, inf and integers too large for a float.
+    _require(_is_number(value) and 0 < value <= limit,
+             f"{source}: expected a finite positive number{bound}, "
+             f"got {value!r}")
 
 
 def _as_number(value, field: str) -> float:
@@ -353,14 +346,14 @@ def _resolve(args, options: dict) -> tuple:
         elif env_key in os.environ:
             raw, source = os.environ[env_key], f"environment {env_key}"
             try:
-                value = type(default)(raw)
+                value = float(raw)
             except ValueError:
                 raise ProblemFormatError(
                     f"{source}: expected a number, got {raw!r}") from None
         else:
             value, source = default, "default"
         _check_option(key, value, source)
-        out.append(type(default)(value))
+        out.append(float(value))
     return tuple(out)
 
 
@@ -501,9 +494,8 @@ def _write_out(out_path: str | None, doc: dict) -> None:
 def cmd_radius(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
-    horizon, rho_max, tol = _resolve(args, prob.options)
-    verdict = classify(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max,
-                       witness_horizon=horizon)
+    rho_max, tol = _resolve(args, prob.options)
+    verdict = classify(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max)
     cert = verdict.certificate
     report = _report("radius", sys_data, iqcs, cert,
                      {"tol": tol, "rho_max": rho_max})
@@ -529,20 +521,19 @@ def cmd_radius(args) -> int:
 def cmd_worst_case(args) -> int:
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
-    horizon, rho_max, tol = _resolve(args, prob.options)
+    rho_max, tol = _resolve(args, prob.options)
     cert = spectral_radius(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max)
     if not np.isfinite(cert.rho):
         stage, reason = "radius-precheck", \
             f"no certified feasible rate up to rho_max = {rho_max:g}"
         outcome = None
     else:
-        outcome = build_witness(sys_data, iqcs, rho=cert.rho,
-                                horizon=horizon, bisect_tol=tol,
+        outcome = build_witness(sys_data, iqcs, rho=cert.rho, bisect_tol=tol,
                                 radius_cert=cert)
         stage, reason = outcome.stage, outcome.reason
 
     report = _report("worst-case", sys_data, iqcs, cert,
-                     {"tol": tol, "rho_max": rho_max, "horizon": horizon})
+                     {"tol": tol, "rho_max": rho_max})
     report.update(stage=stage, reason=reason)
 
     if outcome is not None and outcome.ok:
@@ -758,10 +749,18 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``parser_class`` its subparsers, whose usage
+    errors are input errors (exit 1) rather than argparse's exit 2."""
+
+    def error(self, message):
+        raise ProblemFormatError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused by ``main``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iqcradius",
         description="Certified spectral-radius analysis of discrete-time "
                     "LTI systems under integral quadratic constraints.")
@@ -782,8 +781,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="extract a non-convergent worst-case witness "
                             "at the stability boundary")
     p.add_argument("problem", help="problem file (JSON)")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="witness trajectory length")
     p.add_argument("--out", default=None, help="write the report here")
     p.set_defaults(func=cmd_worst_case)
 
@@ -807,8 +804,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ProblemFormatError, DimensionMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

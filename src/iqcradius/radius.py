@@ -95,6 +95,8 @@ RHO_MAX_LIMIT = 1e50
 # Strict-feasibility threshold, relative to the problem scale: a pair
 # proves a rate above the radius with margin <= -0.5 STRICT_EPS scale.
 STRICT_EPS = 1e-8
+# Steps of the unbounded-mode diagnostic trajectory.
+_GROWTH_STEPS = 200
 # The classifications ``classify`` returns.
 VERDICTS = ("asymptotically-stable", "bounded", "witness-unstable",
             "inconclusive")
@@ -511,8 +513,7 @@ def _attains(result: MarginPrimalResult, tol: float) -> bool:
                                   result.margin_check, 2.0 * tol)
 
 
-def _growth_diagnostic(sys: SystemData, rho: float,
-                       horizon: int = 200) -> Trajectory | None:
+def _growth_diagnostic(sys: SystemData) -> Trajectory | None:
     """Unbounded-mode diagnostic for input-free systems at the boundary.
 
     When the radius 1 is not attained for an input-free system, the
@@ -522,16 +523,16 @@ def _growth_diagnostic(sys: SystemData, rho: float,
     """
     if sys.m != 0 and np.any(sys.B):
         return None
-    Ak = np.linalg.matrix_power(sys.A, horizon)
+    Ak = np.linalg.matrix_power(sys.A, _GROWTH_STEPS)
     _, sv, Vt = np.linalg.svd(Ak)
     if sv[0] < 10.0:
         return None
-    return simulate(sys, Vt[0], horizon)
+    return simulate(sys, Vt[0], _GROWTH_STEPS)
 
 
 def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
              bisect_tol: float = 1e-6, rho_max: float = 1e3,
-             solver=None, witness_horizon: int = 100) -> StabilityVerdict:
+             solver=None) -> StabilityVerdict:
     """Stability classification from the radius and attainment.
 
     radius < 1: asymptotically stable.  radius == 1 (within tolerance)
@@ -556,9 +557,8 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
 
     def try_witness(reasons):
         from .worstcase import build_witness
-        wit = build_witness(sys, iqcs, rho=cert.rho, horizon=witness_horizon,
-                            bisect_tol=bisect_tol, solver=solver,
-                            radius_cert=cert)
+        wit = build_witness(sys, iqcs, rho=cert.rho, bisect_tol=bisect_tol,
+                            solver=solver, radius_cert=cert)
         if wit.ok:
             return wit.trajectory, reasons
         return None, reasons + [f"no worst-case witness: {wit.reason}"]
@@ -571,7 +571,7 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
     if at_boundary:
         reasons = ["radius 1 but the margin optimum is not attained; "
                    "boundedness is not implied"]
-        diag = _growth_diagnostic(sys, cert.rho)
+        diag = _growth_diagnostic(sys)
         if diag is not None:
             reasons.append("matrix powers grow along the attached diagnostic trajectory")
         return StabilityVerdict(classification="inconclusive", certificate=cert,

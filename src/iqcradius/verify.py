@@ -20,10 +20,10 @@ its one-step difference obeys the algebraic identity
 The one-step dynamics residual and its tolerance live in ``model``
 (``_residual_and_state_norms``, ``DYNAMICS_RTOL``) and the orbit generator in
 ``worstcase`` (``mode_orbit``), shared with the witness pipeline.
-``check_witness``, the one test that accepts a witness (last in
-``worstcase.build_witness``, again in ``verify``), regenerates the orbit
-over ``CHECK_HORIZON`` steps; its rows begin bit for bit with the witness
-trajectory.  Row forms and norms use ``model``'s column-major kernels.
+``check_witness``, the one test that accepts a witness, walks the orbit
+over ``CHECK_HORIZON`` steps once (``_walk``, the only ``mode_orbit`` call)
+and judges it (``_judge``); ``worstcase.build_witness`` runs both and
+returns that orbit.  Row forms and norms use ``model``'s column-major kernels.
 
 The growth test states a horizon-bounded fact only (a half-versus-half
 comparison of state norms); a finite trajectory cannot certify a limit,
@@ -49,8 +49,8 @@ from .model import (
     margin_matrix,
 )
 from .radius import RadiusCertificate
-from .worstcase import (SHORTENED_NOTE, WitnessReport, _shift_from_rows,
-                        _shift_scale, mode_orbit, pointwise_check,
+from .worstcase import (WitnessReport, WorstCaseModes, _pointwise_from_rows,
+                        _shift_from_rows, _shift_scale, mode_orbit,
                         verify_direction, verify_groups)
 
 __all__ = [
@@ -77,6 +77,8 @@ GAIN_RTOL = 1e-6
 # Half-versus-half norm ratio above which a trajectory counts as
 # growing on the tested horizon.
 GROWTH_RATIO_TOL = 1e-6
+SHORTENED_NOTE = ("horizon shortened to {} steps to keep the "
+                  "growth-weighted orbit finite")
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,8 @@ class WitnessCheck:
     condition_defect: str     # eigen-group or sign-condition defect, or ""
     gain_residual: float      # nan when the report carries no gain
     gain_ok: bool
-    hard_shift: int | None    # worstcase.hard_iqc_shift, recomputed
-    pointwise: bool           # worstcase.pointwise_check, recomputed
+    hard_shift: int | None    # recomputed from the orbit rows
+    pointwise: bool           # recomputed from the orbit rows
     growing: bool
     notes: tuple[str, ...]
 
@@ -242,48 +244,45 @@ def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
         growing=_growing(norms))
 
 
-def check_witness(sys: SystemData, report: WitnessReport,
-                  iqcs: IqcSet | None = None) -> WitnessCheck:
-    """Re-verify a witness report over a freshly generated orbit.
+@dataclass(frozen=True)
+class _Walk:
+    """A witness orbit, rows ``z_k = F^k v``, and what is read off it."""
 
-    Checks, each with its margin: the orbit satisfies the dynamics; all
-    constraint partial sums stay above their recorded lower bounds for
-    every horizon up to ``CHECK_HORIZON`` (shortened for a growth orbit,
-    with a note); the orbit coefficient norm ``||F^k v||`` is constant;
-    the groups and direction pass ``verify_groups`` and the sign
-    condition ``verify_direction``; a recorded feedback gain holds; and
-    ``hard_shift`` and ``pointwise`` are re-derived: the shift from this
-    orbit's first ``SHIFT_WINDOW`` rows, a bit-for-bit prefix of
-    ``hard_iqc_shift``'s.  Failures are recorded in the result, not raised.
-    """
-    if iqcs is None:
-        iqcs = IqcSet.empty(sys.n + sys.m)
-    iqcs.check_matches(sys)
-    bounds = np.asarray(report.iqc_lower_bounds, dtype=float).reshape(-1)
-    if bounds.size != len(iqcs):
-        raise DimensionMismatchError(
-            f"report records {bounds.size} constraint bounds but the "
-            f"problem supplies {len(iqcs)} constraints")
+    rows: np.ndarray
+    trajectory: Trajectory
+    diagnostics: TrajectoryDiagnostics
+    hard_shift: int | None
+    pointwise: bool
+
+
+def _walk(sys: SystemData, modes: WorstCaseModes, growth: float,
+          iqcs: IqcSet) -> _Walk:
+    """Walk the witness orbit, the package's one ``mode_orbit`` call."""
+    Z, traj = mode_orbit(modes, CHECK_HORIZON, growth)
+    shift = None if len(iqcs) != 1 else _shift_from_rows(
+        Z, modes.H[0], _shift_scale(modes, iqcs.entries[0]))
+    return _Walk(rows=Z, trajectory=traj,
+                 diagnostics=trajectory_diagnostics(sys, traj, iqcs),
+                 hard_shift=shift, pointwise=_pointwise_from_rows(Z, modes))
+
+
+def _judge(report: WitnessReport, walk: _Walk) -> WitnessCheck:
+    """Every witness test, run on a report and the orbit walked from it."""
+    modes, diag, traj = report.modes, walk.diagnostics, walk.trajectory
     notes: list[str] = []
-    modes = report.modes
-    Z, traj = mode_orbit(modes, CHECK_HORIZON, float(report.growth))
     if len(traj) < CHECK_HORIZON:
         notes.append(SHORTENED_NOTE.format(len(traj)))
 
-    diag = trajectory_diagnostics(sys, traj, iqcs)
-
+    bounds = np.asarray(report.iqc_lower_bounds, dtype=float).reshape(-1)
     margins = diag.iqc_minima - bounds
     iqc_ok = bool(np.all(np.isfinite(margins) & (margins >= -IQC_SLACK)))
 
     v_norm = float(np.linalg.norm(modes.v))
-    drift = float(np.max(np.abs(_row_norms(Z) - v_norm)))
+    drift = float(np.max(np.abs(_row_norms(walk.rows) - v_norm)))
     norm_ok = drift <= NORM_DRIFT_TOL * (1.0 + v_norm)
 
     direction_norm = float(np.linalg.norm(modes.X @ modes.v))
     defect = verify_groups(modes) or verify_direction(modes, modes.v)
-    pointwise = pointwise_check(modes)
-    shift = None if len(iqcs) != 1 else _shift_from_rows(
-        Z, modes.H[0], _shift_scale(modes, iqcs.entries[0]))
 
     if report.gain is not None:
         K, U = np.asarray(report.gain, dtype=float), traj.inputs
@@ -298,8 +297,9 @@ def check_witness(sys: SystemData, report: WitnessReport,
 
     passed = {"dynamics": diag.dynamics_ok, "constraint sums": iqc_ok,
               "norm drift": norm_ok, "technical condition": not defect,
-              "gain": gain_ok, "hard shift": report.hard_shift == shift,
-              "pointwise": report.pointwise == pointwise}
+              "gain": gain_ok,
+              "hard shift": report.hard_shift == walk.hard_shift,
+              "pointwise": report.pointwise == walk.pointwise}
     failed = tuple(name for name, ok in passed.items() if not ok)
     return WitnessCheck(
         ok=not failed, failed=failed, steps=diag.steps,
@@ -309,5 +309,30 @@ def check_witness(sys: SystemData, report: WitnessReport,
         norm_drift=drift, norm_ok=norm_ok,
         direction_norm=direction_norm, condition_defect=defect,
         gain_residual=gain_residual, gain_ok=gain_ok,
-        hard_shift=shift, pointwise=pointwise,
+        hard_shift=walk.hard_shift, pointwise=walk.pointwise,
         growing=diag.growing, notes=tuple(notes))
+
+
+def check_witness(sys: SystemData, report: WitnessReport,
+                  iqcs: IqcSet | None = None) -> WitnessCheck:
+    """Re-verify a witness report over a freshly generated orbit.
+
+    Checks, each with its margin: the orbit satisfies the dynamics; all
+    constraint partial sums stay above their recorded lower bounds for
+    every horizon up to ``CHECK_HORIZON`` (shortened for a growth orbit,
+    with a note); the orbit coefficient norm ``||F^k v||`` is constant;
+    the groups and direction pass ``verify_groups`` and the sign
+    condition ``verify_direction``; a recorded feedback gain holds; and
+    ``hard_shift`` and ``pointwise`` are re-derived from the orbit, the one
+    ``build_witness`` returns.  Failures are recorded in the result, not
+    raised.
+    """
+    if iqcs is None:
+        iqcs = IqcSet.empty(sys.n + sys.m)
+    iqcs.check_matches(sys)
+    bounds = np.asarray(report.iqc_lower_bounds, dtype=float).reshape(-1)
+    if bounds.size != len(iqcs):
+        raise DimensionMismatchError(
+            f"report records {bounds.size} constraint bounds but the "
+            f"problem supplies {len(iqcs)} constraints")
+    return _judge(report, _walk(sys, report.modes, float(report.growth), iqcs))

@@ -15,9 +15,9 @@ extraction, rank factorization, orthogonal factor, eigen grouping,
 technical condition, trajectory assembly.  Every stage after the radius
 precheck fails one way: it raises ``ValueError`` with the reason, and
 ``build_witness`` alone turns that into a ``WitnessOutcome`` naming the
-stage.  The last stage accepts a witness by one test only,
-``verify.check_witness``, the same one ``verify`` runs on a report; a
-failed check downgrades the outcome rather than weakening the claim.
+stage.  The last stage walks one orbit and accepts a witness by the tests
+of ``verify.check_witness``, which ``verify`` runs on a report; a failed
+check downgrades the outcome rather than weakening the claim.
 """
 
 from __future__ import annotations
@@ -47,14 +47,11 @@ __all__ = [
     "WitnessOutcome",
     "WitnessReport",
     "WorstCaseModes",
-    "build_trajectory",
     "build_witness",
     "eigen_group",
     "extract_dual_witness",
     "feedback_gain",
-    "hard_iqc_shift",
     "iqc_sum_lower_bound",
-    "pointwise_check",
     "rank_factor",
     "recover_orthogonal_factor",
     "technical_condition",
@@ -89,8 +86,6 @@ POINTWISE_HORIZON = 1000
 # A growth orbit stops before growth ** k passes exp(GROWTH_LOG_CAP), so
 # its states and their squared norms stay inside the float range.
 GROWTH_LOG_CAP = 300.0
-SHORTENED_NOTE = ("horizon shortened to {} steps to keep the "
-                  "growth-weighted orbit finite")
 # The stages ``build_witness`` names: the one that stopped it, or "complete".
 STAGES = ("radius-precheck", "dual-extraction", "rank-factorization",
           "orthogonal-factor", "eigen-grouping", "technical-condition",
@@ -141,8 +136,8 @@ class WitnessReport:
     """What a report's witness block records: the modes with their
     direction ``v``, and the quantities derived from them.  The orbit is
     not part of it; ``WitnessOutcome.trajectory`` carries the one that
-    ``build_witness`` assembled, and ``verify.check_witness`` regenerates
-    its own from the modes."""
+    ``build_witness`` walked, and ``verify.check_witness`` walks the same
+    orbit again from the modes."""
 
     modes: WorstCaseModes
     gain: np.ndarray | None
@@ -639,14 +634,6 @@ def mode_orbit(modes: WorstCaseModes, horizon: int,
     return Zt.T, Trajectory(states=states.T, inputs=inputs.T)
 
 
-def build_trajectory(modes: WorstCaseModes, horizon: int,
-                     growth: float = 1.0) -> Trajectory:
-    """The orbit [x_k; u_k] = growth^k [X; U] F^k v; see ``mode_orbit``."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    return mode_orbit(modes, horizon, growth)[1]
-
-
 def iqc_sum_lower_bound(modes: WorstCaseModes) -> np.ndarray:
     """Uniform lower bound on every constraint partial sum of the orbit.
 
@@ -714,8 +701,15 @@ def _shift_scale(modes: WorstCaseModes, M: np.ndarray) -> float:
 
 
 def _shift_from_rows(Z: np.ndarray, H: np.ndarray, scale: float) -> int | None:
-    """The scan of ``hard_iqc_shift`` over the orbit rows ``Z[:SHIFT_WINDOW]``
-    (copied to the layout ``mode_orbit`` gives, so the sums round alike)."""
+    """Start offset making the single constraint's partial sums nonnegative.
+
+    Returns the first horizon of the orbit rows ``Z[:SHIFT_WINDOW]`` (copied
+    to ``mode_orbit``'s layout, so the sums round alike) whose partial sum
+    lies within ``SHIFT_RTOL * scale * sum_k |z_k|^2`` of the minimum, unless
+    it falls in the trailing tenth of the window (the sums may keep
+    decreasing).  ``scale`` is the size at which H was formed
+    (``_shift_scale``).
+    """
     Z = np.asfortranarray(Z[:SHIFT_WINDOW])
     sums = np.cumsum(_row_forms(Z, H))
     tol = SHIFT_RTOL * scale * float(np.einsum("ki,ki->", Z, Z))
@@ -725,40 +719,17 @@ def _shift_from_rows(Z: np.ndarray, H: np.ndarray, scale: float) -> int | None:
     return n_star
 
 
-def hard_iqc_shift(modes: WorstCaseModes,
-                   scale: float | None = None) -> int | None:
-    """Start offset making the single constraint's partial sums nonnegative.
-
-    Scans the partial sums over horizons 1..SHIFT_WINDOW and returns the
-    first horizon whose sum lies within the rounding tolerance
-    ``SHIFT_RTOL * scale * sum_k |z_k|^2`` of the minimum, provided it lies
-    outside the trailing tenth of the window (a minimum at the edge cannot
-    be certified: the sums may keep decreasing).  ``scale`` is the size at
-    which H was formed, ``_shift_scale``; by default ``||H||``.
-    Requires exactly one constraint matrix.
-    """
-    if len(modes.H) != 1:
-        raise ValueError("the shift argument applies to exactly one constraint")
-    if scale is None:
-        scale = float(np.linalg.norm(modes.H[0], 2))
-    Z, _ = mode_orbit(modes, SHIFT_WINDOW - 1)
-    return _shift_from_rows(Z, modes.H[0], scale)
-
-
-def pointwise_check(modes: WorstCaseModes) -> bool:
+def _pointwise_from_rows(Z: np.ndarray, modes: WorstCaseModes) -> bool:
     """Whether every constraint holds at each step, not just in sums.
 
     True exactly for rank-one witnesses (the factor columns are vectors,
     so the trace inequality is already the pointwise one); re-verified
-    numerically along the first ``POINTWISE_HORIZON`` steps of the orbit.
+    numerically along the orbit rows ``Z[:POINTWISE_HORIZON]``.
     """
     if modes.d != 1:
         return False
-    if modes.v is None or not modes.H:
-        return modes.v is not None
-    Z, _ = mode_orbit(modes, POINTWISE_HORIZON - 1)
     for Hi in modes.H:
-        per_step = _row_forms(Z, Hi)
+        per_step = _row_forms(Z[:POINTWISE_HORIZON], Hi)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(per_step), initial=0.0)))
         if not float(per_step.min(initial=0.0)) >= -tol:     # NaN fails too
             return False
@@ -770,8 +741,7 @@ def pointwise_check(modes: WorstCaseModes) -> bool:
 
 
 def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
-                  rho: float = 1.0, horizon: int = 300,
-                  bisect_tol: float = 1e-6, solver=None,
+                  rho: float = 1.0, bisect_tol: float = 1e-6, solver=None,
                   radius_cert=None) -> WitnessOutcome:
     """Run the witness pipeline and return the orbit or the failing stage.
 
@@ -783,19 +753,17 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     certificate when the caller already searched; without one the radius
     is recomputed.  Either way it must match ``rho`` with attainment.
 
-    A ``horizon`` below one raises ``ValueError`` before any solve.  After
-    the radius precheck every stage fails by raising ``ValueError``, and
-    one handler returns its reason under the stage's name; failures from
-    the technical condition on also carry the modes built so far.  The
-    witness is accepted only when ``verify.check_witness`` passes it; a
-    failed re-check fails trajectory assembly and names the failed tests.
+    After the radius precheck every stage fails by raising ``ValueError``,
+    and one handler returns its reason under the stage's name; failures
+    from the technical condition on also carry the modes built so far.
+    Trajectory assembly walks the orbit ``verify.check_witness`` walks,
+    reads ``hard_shift`` and ``pointwise`` off it, accepts the witness by
+    that function's tests (naming any that fail) and returns the orbit.
     """
-    from .verify import check_witness
+    from .verify import _judge, _walk
 
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     iqcs.check_matches(sys)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
 
     def fail(stage, reason, modes=None):
         return WitnessOutcome(ok=False, stage=stage, reason=reason, modes=modes)
@@ -866,24 +834,19 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
         modes = replace(modes, v=technical_condition(modes, solver=solver)[0])
 
         stage = "trajectory-assembly"
-        traj = build_trajectory(modes, horizon, growth)
+        walk = _walk(sys, modes, growth, iqcs)
         notes: list[str] = []
-        if len(traj) < horizon:
-            notes.append(SHORTENED_NOTE.format(len(traj)))
         gain = feedback_gain(modes)
         if gain is None:
             notes.append("no static gain: the state factor is column rank deficient")
-        shift = None
-        if len(iqcs) == 1:
-            shift = hard_iqc_shift(modes, _shift_scale(modes, iqcs.entries[0]))
-            if shift is None:
-                notes.append("no certified shift: the constraint partial sums "
-                             "keep decreasing through the scan window")
+        if len(iqcs) == 1 and walk.hard_shift is None:
+            notes.append("no certified shift: the constraint partial sums "
+                         "keep decreasing through the scan window")
         report = WitnessReport(modes=modes, gain=gain,
                                iqc_lower_bounds=iqc_sum_lower_bound(modes),
-                               hard_shift=shift, pointwise=pointwise_check(modes),
-                               growth=growth, notes=tuple(notes))
-        check = check_witness(sys, report, iqcs)
+                               hard_shift=walk.hard_shift, growth=growth,
+                               pointwise=walk.pointwise, notes=tuple(notes))
+        check = _judge(report, walk)
         if not check.ok:
             raise ValueError("witness re-check failed: " + ", ".join(check.failed))
     except ValueError as err:
@@ -893,4 +856,4 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
         return fail(stage, reason, modes)
 
     return WitnessOutcome(ok=True, stage="complete", reason="", report=report,
-                          trajectory=traj, modes=modes, check=check)
+                          trajectory=walk.trajectory, modes=modes, check=check)

@@ -6,8 +6,7 @@ writes ``OUT_DIR/problems/`` (53 problem files: 49 static systems and 4
 ``augment`` inputs), then ``OUT_DIR/answers/`` with, for each problem,
 the canonical ``radius`` and ``worst-case`` reports and, for the
 ``augment`` inputs, the augmented problem (the radius and worst case of
-those run on it).  The worst case of ``a2`` runs a second time with
-``--horizon 2000``.  ``answers/exit_codes.json`` records every exit code,
+those run on it).  ``answers/exit_codes.json`` records every exit code,
 and that of ``verify`` on each report and on each report whose
 ``certificate.P`` is corrupted (``P[0, 0] -> P[0, 0] / 2 - 1``).  The
 package is the one ``iqcradius`` resolves to, so a parent and a change
@@ -220,14 +219,11 @@ def write_answers(out_dir: Path) -> dict[str, int]:
                                              str(static)])
             _canonical(static)
             path = static
-        runs += [(name, "radius", path, []), (name, "worst-case", path, [])]
-        if name == "a2":
-            runs.append(("a2-horizon2000", "worst-case", path,
-                         ["--horizon", "2000"]))
-    for name, command, path, extra in runs:
+        runs += [(name, "radius", path), (name, "worst-case", path)]
+    for name, command, path in runs:
         report = answer_dir / f"{name}.{command}.json"
         codes[f"{command}/{name}"] = _run([command, str(path), "--out",
-                                           str(report)] + extra)
+                                           str(report)])
         _canonical(report)
         codes[f"verify/{name}.{command}"] = _run(["verify", str(report),
                                                   str(path)])

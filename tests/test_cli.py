@@ -165,9 +165,10 @@ def test_option_precedence(tmp_path, monkeypatch):
      "options.rho_max"),
     ("radius", STABLE, [], {"IQCRADIUS_TOL": "-1"},
      "environment IQCRADIUS_TOL"),
-    ("worst-case", ROTATION, ["--horizon", "0"], {}, "--horizon"),
-    ("worst-case", ROTATION, [], {"IQCRADIUS_HORIZON": "0"},
-     "environment IQCRADIUS_HORIZON"),
+    ("worst-case", dict(ROTATION, options={"tol": 0}), [], {},
+     "options.tol"),
+    ("worst-case", ROTATION, [], {"IQCRADIUS_TOL": "0"},
+     "environment IQCRADIUS_TOL"),
     ("radius", UNBOUNDED, ["--rho-max", "1e80"], {}, "--rho-max"),
     ("radius", dict(UNBOUNDED, options={"rho_max": 1e160}), [], {},
      "options.rho_max"),
@@ -747,6 +748,37 @@ def test_strict_eps_is_not_an_option(tmp_path):
     code, out = run("radius", problem)
     assert code == 1
     assert "error: options: unknown key 'strict_eps'" in out
+
+
+def test_horizon_is_not_an_option(tmp_path):
+    problem = write(tmp_path, "p.json", dict(ROTATION, options={"horizon": 300}))
+    code, out = run("worst-case", problem)
+    assert code == 1
+    assert "error: options: unknown key 'horizon'" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["radius", "{p}", "--tol", "abc"], "argument --tol: invalid float value"),
+    (["radius", "{p}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["worst-case", "{p}", "--horizon", "300"],
+     "unrecognized arguments: --horizon 300"),
+    (["radius"], "the following arguments are required: problem"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-value", "unknown-flag", "removed-horizon", "missing-problem",
+        "missing-command"])
+def test_usage_error_is_an_input_error(tmp_path, argv, message):
+    """A usage error exits 1, the input-error code, not argparse's 2,
+    which ``radius`` uses for "no certified rate"."""
+    problem = write(tmp_path, "p.json", STABLE)
+    code, out = run(*(a.format(p=problem) for a in argv))
+    assert code == 1
+    assert "error: " in out and message in out
+
+
+def test_help_still_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        run("radius", "--help")
+    assert exc.value.code == 0
 
 
 def test_readme_and_cli_agree_on_options(monkeypatch):

@@ -488,6 +488,6 @@ def test_overflowing_growth_witness_warns_nothing():
     sys = SystemData(A=5.0 * np.array([[c, -s], [s, c]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdict = classify(sys, witness_horizon=300)
+        verdict = classify(sys)
     assert verdict.classification == "witness-unstable"
     assert verdict.certificate.rho == pytest.approx(5.0, rel=1e-6)

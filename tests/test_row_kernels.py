@@ -11,6 +11,7 @@ The kernels compute on the ``(d, N)`` transposes of their row arrays, and
 ``worstcase.mode_orbit`` stores its orbits column-major so that those
 transposes are contiguous.  They must give the same numbers as a plain
 per-row loop for either layout, and the orbits must stay column-major.
+``mode_orbit`` has one call site, so a witness is walked once.
 """
 
 import ast
@@ -159,3 +160,12 @@ def test_simulated_trajectory_checks_match_a_per_row_loop(seed, n, m, steps):
     assert np.allclose(diag.iqc_minima, minima, rtol=1e-12,
                        atol=1e-12 * (1.0 + scale) * (steps + 1))
     assert diag.dynamics_ok
+
+
+def test_mode_orbit_has_one_call_site():
+    """A witness orbit is walked in one place, ``verify._walk``."""
+    sites = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "mode_orbit" in
+             (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert len(sites) == 1, sites

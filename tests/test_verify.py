@@ -5,12 +5,14 @@ constraint-respecting inputs; the witness checks replay recorded
 reports, including deliberately corrupted ones that must fail.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import iqcradius.model
+from iqcradius.cli import main
 from iqcradius.model import (
     DimensionMismatchError,
     IqcSet,
@@ -265,14 +267,88 @@ def test_check_witness_caps_growing_horizon():
      IqcSet.empty(2), 1.5),
 ], ids=["boundary-with-iqc", "growth"])
 def test_check_witness_orbit_extends_the_witness_trajectory(sys, iqcs, rho):
-    """The verifier's longer orbit starts with the pipeline's, bit for bit."""
-    outcome = build_witness(sys, iqcs, rho=rho, horizon=300)
+    """A shorter orbit starts the pipeline's, and the verifier's orbit is
+    the pipeline's, bit for bit."""
+    outcome = build_witness(sys, iqcs, rho=rho)
     assert outcome.ok, outcome.reason
     report = outcome.report
     assert report.growth == rho
-    Z, longer = mode_orbit(report.modes, 500, report.growth)
+    Z, shorter = mode_orbit(report.modes, 500, report.growth)
     traj = outcome.trajectory
     assert Z.shape == (501, report.modes.d)
-    assert longer.states[:301].tobytes() == traj.states.tobytes()
-    assert longer.inputs[:300].tobytes() == traj.inputs.tobytes()
+    assert traj.states[:501].tobytes() == shorter.states.tobytes()
+    assert traj.inputs[:500].tobytes() == shorter.inputs.tobytes()
+    _, longer = mode_orbit(report.modes, CHECK_HORIZON, report.growth)
+    assert longer.states.tobytes() == traj.states.tobytes()
+    assert longer.inputs.tobytes() == traj.inputs.tobytes()
     assert check_witness(sys, report, iqcs).ok
+
+
+WITNESS_CASES = {
+    "rotation": (SystemData(A=[[0.0, 1.0], [-1.0, 0.0]]), IqcSet.empty(2), 1.0),
+    "gd-at-2-over-L": (SystemData(A=[[1.0]], B=[[-0.2]]),
+                       IqcSet.from_matrices([SECTOR]), 1.0),
+    "growth-2": (SystemData(A=[[2.0]]), IqcSet.empty(1), 2.0),
+}
+
+
+@pytest.fixture
+def orbit_calls(monkeypatch):
+    """Count ``mode_orbit`` calls through every module that imports it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return mode_orbit(*args, **kwargs)
+
+    for name in ("iqcradius.worstcase", "iqcradius.verify"):
+        monkeypatch.setattr(f"{name}.mode_orbit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_one_orbit_per_witness(orbit_calls, case):
+    """``build_witness`` walks one orbit, and so does ``check_witness``."""
+    sys, iqcs, rho = WITNESS_CASES[case]
+    outcome = build_witness(sys, iqcs, rho=rho)
+    assert outcome.ok, outcome.reason
+    assert orbit_calls == [CHECK_HORIZON]
+    assert check_witness(sys, outcome.report, iqcs).ok
+    assert orbit_calls == [CHECK_HORIZON] * 2
+
+
+def test_one_orbit_per_verify(tmp_path, orbit_calls):
+    """A rank-one witness with a constraint, whose pointwise flag and
+    shift are both read off the one orbit."""
+    problem, report = tmp_path / "p.json", tmp_path / "r.json"
+    problem.write_text(json.dumps({"dims": {"n": 1, "m": 1}, "A": [[1.0]],
+                                   "B": [[-0.2]], "iqcs": [SECTOR]}))
+    assert main(["worst-case", str(problem), "--out", str(report)]) == 0
+    orbit_calls.clear()
+    assert main(["verify", str(report), str(problem)]) == 0
+    assert orbit_calls == [CHECK_HORIZON]
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_witness_trajectory_is_the_checked_orbit(case):
+    sys, iqcs, rho = WITNESS_CASES[case]
+    outcome = build_witness(sys, iqcs, rho=rho)
+    assert outcome.ok, outcome.reason
+    _, orbit = mode_orbit(outcome.modes, CHECK_HORIZON, outcome.report.growth)
+    traj = outcome.trajectory
+    assert traj.states.tobytes() == orbit.states.tobytes()
+    assert traj.inputs.tobytes() == orbit.inputs.tobytes()
+    assert len(traj) == outcome.check.steps
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_classify_trajectory_is_the_checked_orbit(case):
+    sys, iqcs, _ = WITNESS_CASES[case]
+    verdict = classify(sys, iqcs)
+    assert verdict.classification in ("bounded", "witness-unstable")
+    cert = verdict.certificate
+    outcome = build_witness(sys, iqcs, rho=cert.rho, radius_cert=cert)
+    _, orbit = mode_orbit(outcome.modes, CHECK_HORIZON, outcome.report.growth)
+    assert verdict.trajectory.states.tobytes() == orbit.states.tobytes()
+    assert verdict.trajectory.inputs.tobytes() == orbit.inputs.tobytes()
+    assert len(verdict.trajectory) == outcome.check.steps

@@ -17,21 +17,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iqcradius import sdp_engine, worstcase
+from iqcradius import worstcase
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
 from iqcradius.radius import spectral_radius
-from iqcradius.verify import check_witness
+from iqcradius.verify import CHECK_HORIZON, check_witness
 from iqcradius.worstcase import (
     WorstCaseModes,
-    build_trajectory,
+    _pointwise_from_rows,
+    _shift_from_rows,
     build_witness,
     eigen_group,
     extract_dual_witness,
     feedback_gain,
-    hard_iqc_shift,
     iqc_sum_lower_bound,
     mode_orbit,
-    pointwise_check,
     rank_factor,
     recover_orthogonal_factor,
     technical_condition,
@@ -43,6 +42,20 @@ from iqcradius.model import lyapunov_adjoint
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
+
+
+def shift_of(modes, scale=None):
+    """The shift read off the modes' orbit, as ``verify`` reads it; by
+    default at the scale ``||H||``."""
+    if scale is None:
+        scale = float(np.linalg.norm(modes.H[0], 2))
+    return _shift_from_rows(mode_orbit(modes, CHECK_HORIZON)[0], modes.H[0],
+                            scale)
+
+
+def pointwise_of(modes):
+    """The pointwise flag read off the modes' orbit, as ``verify`` reads it."""
+    return _pointwise_from_rows(mode_orbit(modes, CHECK_HORIZON)[0], modes)
 
 
 def scalar_modes(H_value, v=1.0):
@@ -279,7 +292,7 @@ def test_relaxation_reports_non_rank_one():
 
 def test_trajectory_constant_mode():
     modes = scalar_modes(0.0)
-    traj = build_trajectory(modes, 50)
+    _, traj = mode_orbit(modes, 50)
     np.testing.assert_allclose(traj.states, np.ones((51, 1)), atol=1e-14)
 
 
@@ -311,8 +324,7 @@ def test_sum_lower_bound_empty(rotation_witness):
 
 def test_sum_lower_bound_brute_force(constrained_witnesses):
     for sys, iqcs, outcome in constrained_witnesses:
-        traj = build_trajectory(outcome.modes, 10_000)
-        sums = iqc_partial_sums(traj, iqcs)
+        sums = iqc_partial_sums(outcome.trajectory, iqcs)
         for bound, series in zip(outcome.report.iqc_lower_bounds, sums):
             assert series.min() >= bound - 1e-6
 
@@ -348,7 +360,7 @@ def test_hard_shift_minimum_at_start(constrained_witnesses):
 
 def test_hard_shift_decreasing_absent():
     modes = scalar_modes(-1.0)
-    assert hard_iqc_shift(modes) is None
+    assert shift_of(modes) is None
 
 
 def test_hard_shift_matches_brute_force():
@@ -359,8 +371,8 @@ def test_hard_shift_matches_brute_force():
                            groups=tuple(eigen_group(F)), H=(M,),
                            v=np.array([1.0, 0.0]))
     iqcs = IqcSet.from_matrices([M])
-    shift = hard_iqc_shift(modes)
-    traj = build_trajectory(modes, 10_000)
+    shift = shift_of(modes)
+    _, traj = mode_orbit(modes, 10_000)
     (sums,) = iqc_partial_sums(traj, iqcs)
     assert shift == int(np.argmin(sums)) + 1
     assert shift == 8
@@ -380,16 +392,16 @@ def test_hard_shift_ignores_rounding_of_an_equality_witness():
     shifts = set()
     for k in range(-4, 5):
         Zk = Z * (1.0 + np.array([[k * 1e-16], [0.0]]))
-        shifts.add(hard_iqc_shift(replace(outcome.modes, H=(Zk.T @ M @ Zk,)), scale))
+        shifts.add(shift_of(replace(outcome.modes, H=(Zk.T @ M @ Zk,)), scale))
     assert shifts == {outcome.report.hard_shift} == {1}
 
 
 def test_pointwise_flags(feedback_witness, rotation_witness):
     _, _, outcome = feedback_witness
-    assert pointwise_check(outcome.modes) is True
+    assert pointwise_of(outcome.modes) is True
     _, rot_outcome = rotation_witness
-    assert pointwise_check(rot_outcome.modes) is False
-    assert pointwise_check(scalar_modes(0.0)) is True
+    assert pointwise_of(rot_outcome.modes) is False
+    assert pointwise_of(scalar_modes(0.0)) is True
 
 
 def test_witness_modes_invariants(rotation_witness, constrained_witnesses,
@@ -453,10 +465,10 @@ def test_growth_mode_above_one():
 def test_growth_orbit_overflow_stops_at_trajectory_assembly():
     """A horizon whose weights would overflow is shortened, not refused."""
     sys = SystemData(A=[[2.0]])
-    outcome = build_witness(sys, rho=2.0, horizon=2000)
+    outcome = build_witness(sys, rho=2.0)
     assert outcome.ok, outcome.reason
     assert len(outcome.trajectory) == 432     # floor(300 / ln 2)
-    assert "horizon shortened to 432 steps" in outcome.report.notes[0]
+    assert "horizon shortened to 432 steps" in outcome.check.notes[0]
     result = check_witness(sys, outcome.report, IqcSet.empty(1))
     assert result.ok
     assert result.steps == 432
@@ -466,7 +478,7 @@ def test_growth_orbit_overflow_warns_nothing():
     """The shortened growth orbit never forms an overflowing weight."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0, horizon=2000)
+        outcome = build_witness(SystemData(A=[[2.0]]), rho=2.0)
     assert outcome.ok
 
 
@@ -556,16 +568,6 @@ def test_radius_precheck_is_the_same_with_a_stored_certificate():
         stored = build_witness(sys, rho=rho, radius_cert=cert)
         assert fresh.stage == stored.stage == "radius-precheck"
         assert fresh.reason == stored.reason
-
-
-def test_zero_horizon_raises_before_any_solve(monkeypatch):
-    def no_solve(problem):
-        raise AssertionError("a program was solved before the horizon check")
-
-    monkeypatch.setattr(sdp_engine, "solve", no_solve)
-    monkeypatch.setattr(worstcase, "solve", no_solve)
-    with pytest.raises(ValueError, match="horizon must be at least 1"):
-        build_witness(SystemData(A=rotation(np.pi / 2)), rho=1.0, horizon=0)
 
 
 def _raise_stub(*args, **kwargs):
