@@ -12,18 +12,21 @@ list describing filtered constraints for the ``augment`` command, plus
 an ``options`` block overriding default tolerances.
 
 Reports are JSON documents with sorted keys and fixed formatting, so
-identical inputs and flags produce byte-identical files.  A report
-records the computed radius, bracket, attainment, the certificate
-``(P, lambda)`` with its rate, the stability verdict, the full witness
-when one was found (``X``, ``U``, ``F``, eigen-groups with their angles
-and basis columns, ``v``, the feedback gain, the hard-constraint shift
-and the constraint lower bounds), and the verification margins that
-``verify`` re-checks.  Eigen-group bases are stored as separate real
-and imaginary parts so reports round-trip exactly.
+identical inputs and flags produce byte-identical files.  ``radius`` and
+``worst-case`` run ``classify`` once (``_analyze``) and write one
+report, which differs between them only in ``kind``.  It records the
+computed radius, bracket, attainment, the certificate ``(P, lambda)``
+with its rate, the stability verdict and its reasons, the witness stage
+and its reason, the full witness when one was found (``X``, ``U``,
+``F``, eigen-groups with their angles and basis columns, ``v``, the
+feedback gain, the hard-constraint shift and the constraint lower
+bounds), and the verification margins that ``verify`` re-checks.
+Eigen-group bases are stored as separate real and imaginary parts so
+reports round-trip exactly.
 
 One test accepts a witness, ``verify.check_witness``: ``build_witness``
-runs its tests last, on the orbit it returns, so ``worst-case`` writes
-only a witness that passed them, and ``verify`` walks the same orbit
+runs its tests last, on the orbit it returns, so a report carries only
+a witness that passed them, and ``verify`` walks the same orbit
 from the recorded block, runs the tests again and prints the results
 as four items.  ``verify`` recomputes each recorded margins
 block with the functions that wrote it (``_certificate_margins``,
@@ -32,14 +35,16 @@ included; a non-finite recomputed number never matches.  The
 certificate must pass the test that admitted it in the search
 (``model.certificate_defect``, bound -0.5 ``radius.STRICT_EPS`` scale)
 at ``rho_cert``, a finite positive rate (exit 1 otherwise) that must be
-the bracket's upper end, with ``rho`` inside the bracket.  ``status`` is
-``ok`` exactly with a certificate matrix, ``stage`` (one of
-``worstcase.STAGES``) is ``complete`` exactly with a witness, and
-``verdict`` is one of ``radius.VERDICTS``; ``asymptotically-stable``
-needs ``rho_cert < 1`` or, with no constraints and no input,
-``max |eig(A)| < 1``.  It rejects a witness block whose arrays do not
-have the shapes that ``n``, ``m`` and ``X`` give (exit 1).  Not
-re-checked yet: the verdicts ``bounded`` and ``witness-unstable``,
+the bracket's upper end, with ``rho`` inside the bracket.  Each headline
+key present is checked, and ``kind`` names those a report of an earlier
+release must carry: ``status`` is ``ok`` exactly with a certificate
+matrix, ``stage`` (one of ``worstcase.STAGES``) is ``complete`` exactly
+with a witness, and ``verdict`` is one of ``radius.VERDICTS``;
+``asymptotically-stable`` needs ``rho_cert < 1`` or, with no
+constraints and no input, ``max |eig(A)| < 1``, and
+``witness-unstable`` needs the witness block.  It rejects a witness
+block whose arrays do not have the shapes that ``n``, ``m`` and ``X``
+give (exit 1).  Not re-checked yet: the verdict ``bounded``,
 ``attained``, ``bracket[0]`` and which failing stage is named;
 ``options``, ``message``, ``reasons``, ``reason`` and ``notes`` are
 annotations.
@@ -78,17 +83,10 @@ import numpy as np
 from .dynamic_iqc import IqcFilter, PlantData, augment_all
 from .model import (DimensionMismatchError, IqcSet, SystemData,
                     certificate_defect, margin_matrix)
-from .radius import (RHO_MAX_LIMIT, STRICT_EPS, VERDICTS, classify,
-                     spectral_radius)
+from .radius import RHO_MAX_LIMIT, STRICT_EPS, VERDICTS, classify
 from .verify import CHECK_HORIZON, check_witness
-from .worstcase import (
-    STAGES,
-    EigenGroup,
-    WitnessReport,
-    WorstCaseModes,
-    _constraint_forms,
-    build_witness,
-)
+from .worstcase import (STAGES, EigenGroup, WitnessOutcome, WitnessReport,
+                        WorstCaseModes, _constraint_forms)
 
 __all__ = ["main", "load_problem", "ProblemFormatError"]
 
@@ -111,6 +109,8 @@ _FILTER_KEYS = ("A_psi", "B_psi1", "B_psi2", "C_psi", "D_psi1", "D_psi2", "M")
 _WITNESS_KEYS = ("X", "U", "F", "groups", "v", "gain", "iqc_lower_bounds",
                  "hard_shift", "pointwise", "growth", "notes")
 _GROUP_KEYS = ("theta", "W_re", "W_im")
+# The headline keys that each kind of report has always carried.
+_HEADLINE_KEYS = {"radius": ("status", "verdict"), "worst-case": ("stage",)}
 
 
 class ProblemFormatError(ValueError):
@@ -385,25 +385,6 @@ def _certificate_margins(sys_data: SystemData, iqcs: IqcSet, rho_c: float,
     return {"certificate_eig": eig, "p_min_eig": pmin}
 
 
-def _report(kind: str, sys_data: SystemData, iqcs: IqcSet, cert,
-            options: dict) -> dict:
-    """The fields that ``radius`` and ``worst-case`` reports share."""
-    return {
-        "kind": kind,
-        "problem": {"n": sys_data.n, "m": sys_data.m,
-                    "iqc_count": len(iqcs)},
-        "options": options,
-        "rho": _num(cert.rho),
-        "bracket": [_num(cert.bracket[0]), _num(cert.bracket[1])],
-        "attained": bool(cert.attained),
-        "certificate": _certificate_json(cert),
-        "margins": {"certificate": None if cert.P is None else
-                    _certificate_margins(sys_data, iqcs, cert.rho_cert, cert.P,
-                                         cert.lambdas)},
-        "witness": None,
-    }
-
-
 def _witness_json(report: WitnessReport) -> dict:
     modes = report.modes
     groups = [dict(zip(_GROUP_KEYS, (float(g.theta), _matrix_to_json(g.W.real),
@@ -491,18 +472,45 @@ def _write_out(out_path: str | None, doc: dict) -> None:
 # subcommands
 
 
-def cmd_radius(args) -> int:
+def _analyze(args, kind: str) -> tuple:
+    """Load the problem, run ``classify`` once and write the one report
+    that ``radius`` and ``worst-case`` share (they differ in ``kind``
+    only).  Returns the verdict, the witness outcome and ``rho_max``."""
     prob = load_problem(args.problem)
     sys_data, iqcs = _need_system(prob)
     rho_max, tol = _resolve(args, prob.options)
     verdict = classify(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max)
     cert = verdict.certificate
-    report = _report("radius", sys_data, iqcs, cert,
-                     {"tol": tol, "rho_max": rho_max})
-    report.update(status=cert.status, message=cert.message,
-                  verdict=verdict.classification,
-                  reasons=list(verdict.reasons))
-    _write_out(args.out, report)
+    wit = verdict.witness or WitnessOutcome(
+        ok=False, stage="radius-precheck",
+        reason=f"no certified feasible rate up to rho_max = {rho_max:g}")
+    margins = {"certificate": None if cert.P is None else
+               _certificate_margins(sys_data, iqcs, cert.rho_cert, cert.P,
+                                    cert.lambdas)}
+    if wit.ok:
+        margins.update(witness=_witness_margins(wit.check),
+                       check_horizon=CHECK_HORIZON)
+    _write_out(args.out, {
+        "kind": kind,
+        "problem": {"n": sys_data.n, "m": sys_data.m,
+                    "iqc_count": len(iqcs)},
+        "options": {"tol": tol, "rho_max": rho_max},
+        "rho": _num(cert.rho),
+        "bracket": [_num(cert.bracket[0]), _num(cert.bracket[1])],
+        "attained": bool(cert.attained),
+        "certificate": _certificate_json(cert),
+        "margins": margins,
+        "status": cert.status, "message": cert.message,
+        "verdict": verdict.classification, "reasons": list(verdict.reasons),
+        "stage": wit.stage, "reason": wit.reason,
+        "witness": _witness_json(wit.report) if wit.ok else None,
+    })
+    return verdict, wit, rho_max
+
+
+def cmd_radius(args) -> int:
+    verdict, _, rho_max = _analyze(args, "radius")
+    cert = verdict.certificate
     if np.isfinite(cert.rho):
         print(f"rho = {cert.rho:.9g}")
         print(f"bracket = [{cert.bracket[0]:.9g}, {cert.bracket[1]:.9g}]")
@@ -519,46 +527,25 @@ def cmd_radius(args) -> int:
 
 
 def cmd_worst_case(args) -> int:
-    prob = load_problem(args.problem)
-    sys_data, iqcs = _need_system(prob)
-    rho_max, tol = _resolve(args, prob.options)
-    cert = spectral_radius(sys_data, iqcs, bisect_tol=tol, rho_max=rho_max)
-    if not np.isfinite(cert.rho):
-        stage, reason = "radius-precheck", \
-            f"no certified feasible rate up to rho_max = {rho_max:g}"
-        outcome = None
-    else:
-        outcome = build_witness(sys_data, iqcs, rho=cert.rho, bisect_tol=tol,
-                                radius_cert=cert)
-        stage, reason = outcome.stage, outcome.reason
-
-    report = _report("worst-case", sys_data, iqcs, cert,
-                     {"tol": tol, "rho_max": rho_max})
-    report.update(stage=stage, reason=reason)
-
-    if outcome is not None and outcome.ok:
-        wc = outcome.check
-        report["witness"] = _witness_json(outcome.report)
-        report["margins"]["witness"] = _witness_margins(wc)
-        report["margins"]["check_horizon"] = CHECK_HORIZON
-        modes = outcome.report.modes
-        print(f"witness found at rho = {cert.rho:.9g}")
+    verdict, wit, _ = _analyze(args, "worst-case")
+    if wit.ok:
+        wc, modes = wit.check, wit.report.modes
+        print(f"witness found at rho = {verdict.certificate.rho:.9g}")
         print(f"modes: d = {modes.d}, groups = {len(modes.groups)}, "
-              f"growth = {outcome.report.growth:.9g}")
+              f"growth = {wit.report.growth:.9g}")
         print(f"checks: dynamics residual = {wc.dynamics_residual:.3e}, "
               f"norm drift = {wc.norm_drift:.3e}, "
               f"|Xv| = {wc.direction_norm:.6g}")
-        if len(iqcs):
+        if len(wc.iqc_margins):
             margin = float(np.min(wc.iqc_margins))
             print(f"constraint sum margin over {wc.steps} steps = "
                   f"{margin:.3e}")
     else:
-        print(f"no witness: stage = {stage}")
-        print(f"reason: {reason}")
-    _write_out(args.out, report)
+        print(f"no witness: stage = {wit.stage}")
+        print(f"reason: {wit.reason}")
     if args.out:
         print(f"report written to {args.out}")
-    return EXIT_OK if report["witness"] is not None else EXIT_NO_WITNESS
+    return EXIT_OK if wit.ok else EXIT_NO_WITNESS
 
 
 def _load_report(path: str) -> dict:
@@ -623,15 +610,17 @@ def cmd_verify(args) -> int:
     _require(isinstance(cert_blk, dict), "certificate: expected an object")
     _require(isinstance(margins_blk, dict), "margins: expected an object")
     has_cert = cert_blk.get("P") is not None
-    verdict = report.get("verdict")
-    if report["kind"] == "radius":
-        status = report.get("status")
+    # Every headline key present is checked; ``kind`` names those that a
+    # report of an earlier release, written by one command, must carry.
+    headline = set(report) | set(_HEADLINE_KEYS[report["kind"]])
+    status, verdict, stage = map(report.get, ("status", "verdict", "stage"))
+    if "status" in headline:
         item("headline-status", status == ("ok" if has_cert else "no-certificate"),
              f"status {status!r}, certificate matrix present {has_cert}")
+    if "verdict" in headline:
         _require(verdict in VERDICTS,
                  f"verdict: expected one of {VERDICTS}, got {verdict!r}")
-    else:
-        stage = report.get("stage")
+    if "stage" in headline:
         _require(stage in STAGES, f"stage: expected one of {STAGES}, got {stage!r}")
         item("headline-stage", (stage == "complete") == (wit_blk is not None),
              f"stage {stage!r}, witness present {wit_blk is not None}")
@@ -689,6 +678,10 @@ def cmd_verify(args) -> int:
         item("headline-verdict", has_cert and rho_c < 1.0 or free and eig < 1.0,
              f"needs certificate rate {_fmt(cert_blk.get('rho_cert'))} < 1, or "
              f"no constraints and no input with max |eig(A)| {eig:.9g} < 1")
+    elif verdict == "witness-unstable":
+        # Proven by the witness block, which the items below re-check.
+        item("headline-verdict", wit_blk is not None,
+             f"needs a witness block, witness present {wit_blk is not None}")
 
     if wit_blk is not None:
         _require(isinstance(wit_blk, dict), "witness: expected an object")

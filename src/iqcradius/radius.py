@@ -70,6 +70,7 @@ from .sdp_engine import (TRACE_CAP, DualFeasibilityResult,
                          MarginPrimalResult, _Programs,
                          dual_feasibility_margin, margin_point,
                          solve_margin_primal)
+from . import worstcase
 
 __all__ = [
     "RadiusCertificate",
@@ -139,10 +140,15 @@ class RadiusCertificate:
 
 @dataclass
 class StabilityVerdict:
+    """``classify``'s result: ``witness`` is its one ``build_witness``
+    outcome (None without a finite radius), whatever the classification;
+    ``trajectory`` is the orbit the classification rests on, if any."""
+
     classification: str    # one of VERDICTS
     certificate: RadiusCertificate | None
     trajectory: Trajectory | None = None
     reasons: tuple[str, ...] = ()
+    witness: worstcase.WitnessOutcome | None = None
 
 
 @dataclass
@@ -535,12 +541,13 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
              solver=None) -> StabilityVerdict:
     """Stability classification from the radius and attainment.
 
-    radius < 1: asymptotically stable.  radius == 1 (within tolerance)
-    with the optimum attained: bounded; a worst-case witness trajectory
-    is attached when the extraction pipeline produces one.  radius > 1
-    with attainment and a witness: witness-unstable (a trajectory that
-    does not converge to zero).  Everything else: inconclusive, with
-    reasons.
+    radius < 1 (``worstcase._below_one``): asymptotically stable.
+    radius == 1 (within tolerance) with the optimum attained: bounded; a
+    worst-case witness trajectory is attached when the extraction
+    pipeline produces one.  radius > 1 with attainment and a witness:
+    witness-unstable (a trajectory that does not converge to zero).
+    Everything else: inconclusive, with reasons.  A finite radius gets
+    one ``build_witness`` call, whose outcome the verdict carries.
     """
     iqcs = iqcs if iqcs is not None else IqcSet.empty(sys.n + sys.m)
     cert = spectral_radius(sys, iqcs, bisect_tol=bisect_tol, rho_max=rho_max,
@@ -551,46 +558,35 @@ def classify(sys: SystemData, iqcs: IqcSet | None = None, *,
             reasons=("no feasibility certificate up to rho_max; "
                      "this proves nothing about trajectories",))
 
-    if cert.rho < 1.0 - bisect_tol:
-        return StabilityVerdict(classification="asymptotically-stable",
-                                certificate=cert)
+    wit = worstcase.build_witness(sys, iqcs, rho=cert.rho, bisect_tol=bisect_tol,
+                                  solver=solver, radius_cert=cert)
+    missing = () if wit.ok else (f"no worst-case witness: {wit.reason}",)
 
-    def try_witness(reasons):
-        from .worstcase import build_witness
-        wit = build_witness(sys, iqcs, rho=cert.rho, bisect_tol=bisect_tol,
-                            solver=solver, radius_cert=cert)
-        if wit.ok:
-            return wit.trajectory, reasons
-        return None, reasons + [f"no worst-case witness: {wit.reason}"]
+    def verdict(classification, reasons=(), trajectory=None):
+        return StabilityVerdict(classification, cert, trajectory,
+                                tuple(reasons), wit)
 
+    if worstcase._below_one(cert.rho, bisect_tol):
+        return verdict("asymptotically-stable")
     at_boundary = abs(cert.rho - 1.0) <= bisect_tol
     if at_boundary and cert.attained:
-        trajectory, reasons = try_witness([])
-        return StabilityVerdict(classification="bounded", certificate=cert,
-                                trajectory=trajectory, reasons=tuple(reasons))
+        return verdict("bounded", missing, wit.trajectory)
     if at_boundary:
         reasons = ["radius 1 but the margin optimum is not attained; "
                    "boundedness is not implied"]
         diag = _growth_diagnostic(sys)
         if diag is not None:
             reasons.append("matrix powers grow along the attached diagnostic trajectory")
-        return StabilityVerdict(classification="inconclusive", certificate=cert,
-                                trajectory=diag, reasons=tuple(reasons))
+        return verdict("inconclusive", reasons, diag)
 
     # radius above 1
     if cert.attained:
-        trajectory, reasons = try_witness(
-            [f"radius {cert.rho:.6g} exceeds 1 with the optimum attained"])
-        if trajectory is not None:
-            return StabilityVerdict(classification="witness-unstable",
-                                    certificate=cert, trajectory=trajectory,
-                                    reasons=tuple(reasons))
-        return StabilityVerdict(classification="inconclusive", certificate=cert,
-                                reasons=tuple(reasons))
-    return StabilityVerdict(
-        classification="inconclusive", certificate=cert,
-        reasons=(f"radius {cert.rho:.6g} exceeds 1 but the optimum is not attained; "
-                 "the witness construction does not apply",))
+        return verdict("witness-unstable" if wit.ok else "inconclusive",
+                       (f"radius {cert.rho:.6g} exceeds 1 with the optimum "
+                        "attained",) + missing, wit.trajectory)
+    return verdict("inconclusive",
+                   (f"radius {cert.rho:.6g} exceeds 1 but the optimum is not "
+                    "attained; the witness construction does not apply",))
 
 
 def exponential_rate_certificate(sys: SystemData, iqcs: IqcSet | None = None, *,

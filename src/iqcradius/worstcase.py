@@ -92,6 +92,12 @@ STAGES = ("radius-precheck", "dual-extraction", "rank-factorization",
           "trajectory-assembly", "complete")
 
 
+def _below_one(rho: float, bisect_tol: float) -> bool:
+    """Below one by more than ``bisect_tol``: ``classify`` calls such a
+    radius stable, and ``build_witness`` refuses it."""
+    return rho < 1.0 - bisect_tol
+
+
 # ---------------------------------------------------------------------------
 # result types
 
@@ -746,10 +752,12 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     """Run the witness pipeline and return the orbit or the failing stage.
 
     ``rho`` is the radius the caller established (1 for the stability
-    boundary).  Above one the system is rescaled by 1/rho and the orbit
-    re-inflated geometrically, which preserves the dynamics exactly but
-    is only offered without constraint matrices (their partial sums do
-    not survive the growth weighting).  ``radius_cert`` is the radius
+    boundary).  A radius below one (``_below_one``) is refused, and one
+    within ``max(100 * bisect_tol, 1e-9)`` of one counts as one.  Above
+    that band the system is rescaled by 1/rho and the orbit re-inflated
+    geometrically, which preserves the dynamics exactly but is only
+    offered without constraint matrices (their partial sums do not
+    survive the growth weighting).  ``radius_cert`` is the radius
     certificate when the caller already searched; without one the radius
     is recomputed.  Either way it must match ``rho`` with attainment.
 
@@ -778,10 +786,10 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
                         "input matrix is not full column rank, which the "
                         "factorization argument requires")
 
-    at_boundary = abs(rho - 1.0) <= max(100.0 * bisect_tol, 1e-9)
-    if not at_boundary and rho < 1.0:
+    if _below_one(rho, bisect_tol):
         return fail("radius-precheck",
                     f"radius {rho:.6g} is below one; no non-vanishing witness exists")
+    at_boundary = abs(rho - 1.0) <= max(100.0 * bisect_tol, 1e-9)
     if not at_boundary and len(iqcs) > 0:
         return fail("radius-precheck",
                     "witness construction needs radius one: constraint "

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iqcradius import cli
+from iqcradius import cli, radius, worstcase
 from iqcradius.cli import main
 from iqcradius.dynamic_iqc import IqcFilter, PlantData, augment_all
 from iqcradius.model import IqcSet, SystemData
@@ -48,6 +48,10 @@ ROTATION_IQC = {"dims": {"n": 2, "m": 0},
                 "iqcs": [mat([[1.0, 0.0], [0.0, 0.0]])]}
 GD = {"dims": {"n": 1, "m": 1}, "A": mat([[1.0]]), "B": mat([[-0.1]]),
       "iqcs": [mat([[-10.0, 5.5], [5.5, -1.0]])]}
+A2 = {"dims": {"n": 1, "m": 0}, "A": mat([[2.0]])}
+ROTATION_15X = {"dims": {"n": 2, "m": 0},
+                "A": mat(1.5 * np.array([[np.cos(1.0), -np.sin(1.0)],
+                                         [np.sin(1.0), np.cos(1.0)]]))}
 # x_{k+1} = x_k with sum x_k^2 >= beta: radius 1.
 UNIT_IQC = {"dims": {"n": 1, "m": 0}, "A": mat([[1.0]]), "iqcs": [mat([[1.0]])]}
 
@@ -364,15 +368,30 @@ def _forged(tmp_path, command, problem, **fields):
     return run("verify", str(report_path), problem)
 
 
-@pytest.mark.parametrize("verdict, code, expected", [
-    ("asymptotically-stable", 4, "FAIL headline-verdict"),
-    ("stable", 1, "error: verdict: expected one of ('asymptotically-stable'"),
+@pytest.mark.parametrize("problem, verdict, code, expected", [
+    pytest.param(ROTATION_IQC, "asymptotically-stable", 4,
+                 "FAIL headline-verdict",
+                 id="asymptotically-stable-4-FAIL headline-verdict"),
+    pytest.param(ROTATION_IQC, "stable", 1,
+                 "error: verdict: expected one of ('asymptotically-stable'",
+                 id="stable-1-error: verdict: expected one of "
+                    "('asymptotically-stable'"),
+    pytest.param(GD, "witness-unstable", 4,
+                 "FAIL headline-verdict", id="gd-forged-witness-unstable"),
+    pytest.param(A2, None, 0, "PASS headline-verdict", id="a2"),
+    pytest.param(ROTATION_15X, None, 0, "PASS headline-verdict",
+                 id="rotation-1.5x"),
 ])
-def test_verify_rechecks_the_stability_verdict(tmp_path, verdict, code, expected):
+def test_verify_rechecks_the_stability_verdict(tmp_path, problem, verdict, code,
+                                               expected):
     """A verdict ``classify`` never returns is an input error, and a
-    stability verdict must be proven by the report or the problem."""
-    problem = str(ROOT / "tests" / "data" / "rotation_iqc.problem.json")
-    got, out = _forged(tmp_path, "radius", problem, verdict=verdict)
+    stability or instability verdict must be proven by the report or the
+    problem: ``witness-unstable`` by a witness block, which passes on the
+    honest ``radius`` reports of ``A = 2`` and of a 1.5x rotation.
+    ``verdict`` is what the report's verdict is edited to, if anything."""
+    problem = write(tmp_path, "p.json", problem)
+    got, out = _forged(tmp_path, "radius", problem,
+                       **({} if verdict is None else {"verdict": verdict}))
     assert got == code, out
     assert expected in out
 
@@ -910,6 +929,37 @@ def test_verify_rechecks_every_report_leaf(tmp_path, data_reports):
     assert edits > 1000
     assert not wrong, wrong
     assert passed == set(UNCHECKED_LEAVES)
+
+
+def test_radius_and_worst_case_write_one_document(data_reports):
+    """Both commands write the same report of a problem, ``kind`` aside."""
+    docs = [(problem, {k: v for k, v in report.items() if k != "kind"})
+            for problem, report in data_reports]
+    for (problem, radius_doc), (twin, worst_doc) in zip(docs[::2], docs[1::2]):
+        assert problem == twin
+        assert radius_doc == worst_doc, problem
+
+
+@pytest.mark.parametrize("command", ["radius", "worst-case"])
+def test_one_analysis_per_command(tmp_path, monkeypatch, command):
+    """Each command runs ``classify`` once, and through it one radius
+    search and one witness pipeline."""
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "classify")
+    counted(radius, "spectral_radius")
+    counted(worstcase, "build_witness")
+    problem = write(tmp_path, "p.json", ROTATION_IQC)
+    assert run(command, problem)[0] == 0
+    assert calls == ["classify", "spectral_radius", "build_witness"]
 
 
 def test_verify_dimension_mismatch(tmp_path):

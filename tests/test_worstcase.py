@@ -570,6 +570,22 @@ def test_radius_precheck_is_the_same_with_a_stored_certificate():
         assert fresh.reason == stored.reason
 
 
+def test_below_one_is_the_rule_classify_uses():
+    """A radius ``classify`` calls asymptotically stable gets no witness,
+    even inside the band around one that ``build_witness`` counts as one:
+    a rotation whose certificate claims 1 - 5e-5 is refused, and one that
+    claims 1 + 5e-5 still gets its witness."""
+    sys = SystemData(A=rotation(1.0))
+    cert = spectral_radius(sys)
+    below, above = (replace(cert, rho=1.0 + s * 5e-5) for s in (-1.0, 1.0))
+    assert worstcase._below_one(below.rho, 1e-6)
+    outcome = build_witness(sys, rho=below.rho, radius_cert=below)
+    assert (outcome.stage, outcome.reason) == (
+        "radius-precheck",
+        "radius 0.99995 is below one; no non-vanishing witness exists")
+    assert build_witness(sys, rho=above.rho, radius_cert=above).ok
+
+
 def _raise_stub(*args, **kwargs):
     raise ValueError("stub failure")
 
