@@ -2,9 +2,9 @@
 
 The analysis needs a handful of small dense SDPs: the feasibility-margin
 program over (s, P, lambda), its trace-normalized dual over Q, a
-feasibility probe used by the radius search, and the trace-minimizing
-relaxation of ``worstcase._relaxed_direction``.  All of them are affine
-in their matrix variables, so this module provides
+feasibility probe used by the radius search, and the most interior
+stationary dual matrix of ``worstcase.extract_dual_witness``.  All of
+them are affine in their matrix variables, so this module provides
 
   * :class:`SdpProblem` -- a tiny builder for block-structured affine
     SDPs (symmetric matrix and scalar variables, PSD constraints, scalar

@@ -8,6 +8,11 @@ orthogonal transition F satisfying AX + BU = XF.  The orbit
 [x_k; u_k] = [X; U] F^k v then solves the dynamics exactly, never
 converges to zero, and keeps every constraint partial sum bounded
 below, provided the direction v passes a group-wise sign condition.
+That direction is found by eigenvalue computations alone: the sum of the
+eigen-group basis columns when every eigenvalue of F is simple, else the
+top eigenvector of a weighted sum of the group-projected constraint forms
+(exact for one constraint, where a negative top eigenvalue proves that
+no direction exists).  The only program solved is the dual extraction.
 
 ``build_witness`` runs the pipeline end to end and stops with a reason
 at the first stage that cannot be certified: radius precheck, dual
@@ -81,6 +86,10 @@ SHIFT_WINDOW = 10_000
 # form H = [X; U]' M [X; U] was rounded: sums that are all zero up to
 # rounding then give one shift whatever the sign of that rounding.
 SHIFT_RTOL = 1e-12
+# A group-projected constraint form may fall this far below zero.
+FORM_TOL = 1e-8
+# Weight updates of the sign-condition eigenvalue search.
+SEARCH_STEPS = 300
 # Steps over which a rank-one witness is re-checked pointwise.
 POINTWISE_HORIZON = 1000
 # A growth orbit stops before growth ** k passes exp(GROWTH_LOG_CAP), so
@@ -467,22 +476,28 @@ def verify_groups(modes: WorstCaseModes) -> str:
 # stage 5: technical condition
 
 
-def _group_sum_matrices(modes: WorstCaseModes) -> list[np.ndarray]:
-    """Hermitian matrices sum_j P_j H_i P_j, one per constraint."""
+def _sign_forms(modes: WorstCaseModes) -> list[np.ndarray]:
+    """K_i, the real symmetric part of sum_j P_j H_i P_j, one per constraint:
+    for a real direction v, v' K_i v is the group-projected form of H_i."""
     projectors = [g.projector() for g in modes.groups]
     out = []
     for Hi in modes.H:
-        S = np.zeros_like(projectors[0]) if projectors else np.zeros((modes.d, modes.d))
-        S = S.astype(complex)
-        for P in projectors:
-            S = S + P @ Hi @ P
-        out.append(S)
+        R = sum((P @ Hi @ P for P in projectors), np.zeros((modes.d, modes.d))).real
+        out.append(0.5 * (R + R.T))
     return out
 
 
-def _condition_slacks(modes: WorstCaseModes, v: np.ndarray) -> np.ndarray:
-    """Group-projected quadratic forms v' (sum_j P_j H_i P_j) v."""
-    return np.array([float((v @ S @ v).real) for S in _group_sum_matrices(modes)])
+def _direction_defect(X: np.ndarray, K: list[np.ndarray], v: np.ndarray) -> str:
+    """``verify_direction`` on the forms ``K`` of ``_sign_forms``."""
+    if v is None or not np.all(np.isfinite(v)):
+        return "direction is not finite"
+    xnorm = float(np.linalg.norm(X @ v))
+    if xnorm < 1e-8:
+        return f"direction lies in the null space of X (|Xv| = {xnorm:.1e})"
+    slack = min((float(v @ Ki @ v) for Ki in K), default=0.0)
+    if slack < -FORM_TOL:
+        return f"projected constraint form is negative ({slack:.3e})"
+    return ""
 
 
 def verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
@@ -490,116 +505,83 @@ def verify_direction(modes: WorstCaseModes, v: np.ndarray) -> str:
 
     Returns an empty string when ``v`` is finite, has ``Xv`` outside the
     null space of ``X``, and every group-projected constraint form is
-    nonnegative within tolerance; otherwise a description of the defect.
-    Used to re-verify recorded witnesses without re-solving anything.
+    nonnegative within ``FORM_TOL``; otherwise a description of the
+    defect.  Used to re-verify recorded witnesses without re-solving
+    anything.
     """
-    if v is None or not np.all(np.isfinite(v)):
-        return "direction is not finite"
-    xnorm = float(np.linalg.norm(modes.X @ v))
-    if xnorm < 1e-8:
-        return f"direction lies in the null space of X (|Xv| = {xnorm:.1e})"
-    slacks = _condition_slacks(modes, v)
-    if slacks.size and float(slacks.min()) < -1e-8:
-        return f"projected constraint form is negative ({float(slacks.min()):.3e})"
-    return ""
+    return _direction_defect(modes.X, _sign_forms(modes), v)
 
 
-def technical_condition(modes: WorstCaseModes, *,
-                        solver=None) -> tuple[np.ndarray, str]:
+def _basis_sum(modes: WorstCaseModes) -> np.ndarray:
+    """Sum of the group basis columns when every eigenvalue of F is simple:
+    real by conjugate pairing, with forms v' K_i v = trace(H_i), and
+    v = [1] at d = 1."""
+    if any(g.multiplicity > 1 for g in modes.groups):
+        raise ValueError("an eigenvalue of F is repeated")
+    v = sum(g.W[:, 0] for g in modes.groups)
+    if float(np.linalg.norm(v.imag)) > 1e-10 * max(1.0, float(np.linalg.norm(v.real))):
+        raise ValueError("basis sum is not real")
+    return v.real.copy()
+
+
+def _eigen_search(X: np.ndarray, K: list[np.ndarray]) -> np.ndarray:
+    """Unit top eigenvector of sum_i mu_i K_i, with mu on the simplex
+    chosen to lower that top eigenvalue.
+
+    Every unit v has min_i v' K_i v <= lambda_max(sum_i mu_i K_i), so a
+    top eigenvalue below ``-FORM_TOL`` at any mu proves that no direction
+    exists, and raises ``ValueError`` saying so.  With one constraint the
+    single ``eigh`` decides; with several, ``SEARCH_STEPS``
+    exponentiated-subgradient steps move weight onto the forms the
+    current eigenvector leaves negative, stopping at the first vector
+    that passes the sign condition, else returning the last one.  With no
+    constraints the condition is vacuous and the top right singular
+    vector of X (largest |Xv|) is returned.
+    """
+    if not K:
+        return np.linalg.svd(X, full_matrices=False)[2][0]
+    scale = max(float(np.linalg.norm(Ki, 2)) for Ki in K) or 1.0
+    mu = np.full(len(K), 1.0 / len(K))
+    for t in range(SEARCH_STEPS if len(K) > 1 else 1):
+        w, V = np.linalg.eigh(sum(m * Ki for m, Ki in zip(mu, K)))
+        if w[-1] < -FORM_TOL:
+            raise ValueError(
+                "no direction exists: the weighted constraint form "
+                f"sum_i mu_i K_i is negative definite (top eigenvalue "
+                f"{w[-1]:.3e} at mu = {np.array2string(mu, precision=3)})")
+        v = V[:, -1]
+        if not _direction_defect(X, K, v):
+            return v
+        forms = np.array([float(v @ Ki @ v) for Ki in K])
+        mu = mu * np.exp(-forms / (scale * np.sqrt(t + 1.0)))
+        mu = mu / mu.sum()
+    return v
+
+
+def technical_condition(modes: WorstCaseModes) -> tuple[np.ndarray, str]:
     """Find a real direction v with Xv != 0 passing the sign condition.
 
-    Tried in order: the rank-one case (v = 1); all transition
-    eigenvalues distinct (v = sum of the group basis columns, made real
-    by conjugate pairing); no constraints at all (any direction outside
-    the null space of X works, the leading right singular vector is
-    used); and finally a trace-minimization relaxation over PSD V with
-    trace(V X'X) = 1, accepted only when its optimum is rank one.
-    Every candidate is re-verified directly before being returned as
-    ``(v, method)``; when none passes, raises ``ValueError`` listing why
-    each candidate failed.
+    Two candidates, in order: ``_basis_sum`` ("distinct-eigenvalues")
+    and ``_eigen_search`` ("eigenvalue-search", exact for one constraint
+    and for none).  A candidate is accepted only by the test of
+    ``verify_direction`` and returned as ``(v, method)``; when neither
+    passes, raises ``ValueError`` saying why each failed.  No program is
+    solved.
     """
+    K = _sign_forms(modes)
     failures: list[str] = []
-
-    def accept(v, method):
-        defect = verify_direction(modes, v)
-        if defect:
-            failures.append(f"{method}: {defect}")
-            return None
-        return v, method
-
-    if modes.d == 1:
-        got = accept(np.ones(1), "rank-one")
-        if got:
-            return got
-
-    if all(g.multiplicity == 1 for g in modes.groups) and \
-            len(modes.groups) == modes.d and modes.d >= 1:
-        v = np.zeros(modes.d, dtype=complex)
-        for g in modes.groups:
-            v = v + g.W[:, 0]
-        if float(np.linalg.norm(v.imag)) <= 1e-10 * max(1.0, float(np.linalg.norm(v.real))):
-            got = accept(v.real.copy(), "distinct-eigenvalues")
-            if got:
-                return got
-        else:
-            failures.append("distinct-eigenvalues: basis sum is not real")
-
-    if not modes.H and modes.d >= 1:
-        # The sign condition is vacuous; only Xv != 0 is needed.
-        _, _, vt = np.linalg.svd(modes.X, full_matrices=False)
-        if vt.shape[0]:
-            got = accept(vt[0], "unconstrained")
-            if got:
-                return got
-
-    try:
-        v = _relaxed_direction(modes, solver)
-    except ValueError as err:
-        failures.append(f"relaxation: {err}")
-    else:
-        got = accept(v, "relaxation")
-        if got:
-            return got
+    candidates = (("distinct-eigenvalues", lambda: _basis_sum(modes)),
+                  ("eigenvalue-search", lambda: _eigen_search(modes.X, K)))
+    for method, candidate in candidates:
+        try:
+            v = candidate()
+            defect = _direction_defect(modes.X, K, v)
+        except ValueError as err:
+            defect = str(err)
+        if not defect:
+            return v, method
+        failures.append(f"{method}: {defect}")
     raise ValueError("; ".join(failures))
-
-
-def _relaxed_direction(modes: WorstCaseModes, solver) -> np.ndarray:
-    """Trace-minimizing PSD relaxation of the sign condition.
-
-    Minimizes trace(V) over V >= 0 with trace(V X'X) = 1 and
-    trace(V K_i) >= 0, where K_i is the real symmetric part of the
-    group-projected constraint matrix (exact for quadratic forms in a
-    real direction).  Only a rank-one optimum is converted back into a
-    direction; anything else raises ``ValueError``.
-    """
-    d = modes.d
-    XtX = modes.X.T @ modes.X
-    mats = [0.5 * (S.real + S.real.T) for S in _group_sum_matrices(modes)]
-    E = svec_basis(d)
-    pb = SdpProblem()
-    pb.add_sym_var("V", d)
-    pb.minimize([("V", np.trace(E, axis1=1, axis2=2))])
-    pb.add_psd(d, None, [("V", E)], label="V_psd")
-    for i, K in enumerate(mats):
-        pb.add_scalar_ineq(0.0, [("V", np.tensordot(E, K))], label=f"group{i}")
-    pb.add_scalar_eq(-1.0, [("V", np.tensordot(E, XtX))])
-    sol = (solver or solve)(pb)
-    if sol.status == "infeasible" or "V" not in sol.values:
-        raise ValueError("the relaxed sign-condition program is infeasible")
-    V = symmetrize(np.asarray(sol.values["V"]), name="V")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("solver returned non-finite values")
-    w, vecs = np.linalg.eigh(V)
-    top = float(w[-1])
-    total = float(np.trace(V))
-    if total <= 0 or top < (1.0 - 1e-6) * total:
-        raise ValueError(f"relaxation optimum is not rank one (top eigenvalue "
-                         f"carries {top / max(total, 1e-300):.6f} of the trace)")
-    v = vecs[:, -1] * np.sqrt(max(top, 0.0))
-    xnorm = float(np.linalg.norm(modes.X @ v))
-    if xnorm > 0:
-        v = v / xnorm
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +821,7 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
         modes = WorstCaseModes(Q=Q, d=d, X=X, U=U, F=F, groups=groups, H=H)
 
         stage = "technical-condition"
-        modes = replace(modes, v=technical_condition(modes, solver=solver)[0])
+        modes = replace(modes, v=technical_condition(modes)[0])
 
         stage = "trajectory-assembly"
         walk = _walk(sys, modes, growth, iqcs)

@@ -18,7 +18,10 @@ The problems: the ``tests/test_cli.py`` systems; the
 draw 0 and the ``report-verify`` problems of draws 0-2); gradient
 descent on the sector [1, 10] at five steps; hand-picked rotations,
 Jordan blocks and input systems; one system per ``build_witness``
-failure stage a problem file reaches; and four filter problems.
+failure stage a problem file reached; and four filter problems.  The
+eigenvalue search of ``worstcase.technical_condition`` completes
+``stage-technical-condition`` (a repeated rotation); the problem stays,
+so that answer sets of older and newer trees pair up file for file.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def _hand_picked() -> dict[str, dict]:
         "rotation-0.9x-input-sector": _system(_rotation(1.0, 0.9),
                                               [[1.0], [0.0]],
                                               [rotation_input_sector]),
-        # one per build_witness stage a problem file reaches
+        # one per build_witness stage a problem file reached
         "stage-rank-deficient-input": _system([[1.0]], [[0.0]]),
         "stage-growth-iqc": _system([[2.0]], None, [[[1.0]]]),
         "stage-technical-condition": _system(

@@ -111,8 +111,8 @@ def _sampled(fn, d=None):
     return np.array([fn(1.0)] if d is None else [fn(E) for E in _unit_matrices(d)])
 
 
-def _reference_programs(sys, iqcs, rho, modes):
-    """The five programs, each term sampled one basis element at a time."""
+def _reference_programs(sys, iqcs, rho):
+    """The four programs, each term sampled one basis element at a time."""
     n, d = sys.n, sys.n + sys.m
 
     def pairing(M):
@@ -175,16 +175,7 @@ def _reference_programs(sys, iqcs, rho, modes):
     witness.add_matrix_eq(n, None, [("Q", _sampled(lambda Qm: lyapunov_adjoint(Qm, sys, 1.0), d))])
     witness.add_scalar_eq(-1.0, [("Q", _sampled(trace, d))])
 
-    k = modes.d
-    relaxed = SdpProblem()
-    relaxed.add_sym_var("V", k)
-    relaxed.minimize([("V", _sampled(trace, k))])
-    relaxed.add_psd(k, None, [("V", _sampled(lambda Vm: Vm, k))], label="V_psd")
-    for i, S in enumerate(worstcase._group_sum_matrices(modes)):
-        K = 0.5 * (S.real + S.real.T)
-        relaxed.add_scalar_ineq(0.0, [("V", _sampled(pairing(K), k))], label=f"group{i}")
-    relaxed.add_scalar_eq(-1.0, [("V", _sampled(pairing(modes.X.T @ modes.X), k))])
-    return [margin, phase1, margin_dual, witness, relaxed]
+    return [margin, phase1, margin_dual, witness]
 
 
 def test_programs_compile_like_per_element_references():
@@ -196,23 +187,13 @@ def test_programs_compile_like_per_element_references():
         sys = SystemData(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
         mats = [M + M.T for M in rng.normal(size=(int(rng.integers(0, 3)), n + m, n + m))]
         iqcs = IqcSet.from_matrices(mats, dim=n + m)
-        k = int(rng.integers(1, n + m + 1))
-        W, _ = np.linalg.qr(rng.normal(size=(k, k)))
-        cut = int(rng.integers(1, k + 1))
-        groups = (worstcase.EigenGroup(0.0, W[:, :cut]),
-                  worstcase.EigenGroup(1.0, W[:, cut:]))
-        H = tuple(0.5 * (M + M.T) for M in rng.normal(size=(int(rng.integers(1, 3)), k, k)))
-        modes = worstcase.WorstCaseModes(Q=np.eye(k), d=k, X=rng.normal(size=(n, k)),
-                                         U=rng.normal(size=(m, k)), F=np.eye(k),
-                                         groups=groups, H=H)
         rho = float(rng.uniform(0.2, 2.0))
 
         captured = []
 
         def spy(pb):
             # Zero values: every caller goes on to its next program, and
-            # the two witness stages reject them (trace(Q) and trace(V)
-            # are zero).
+            # the witness stage rejects them (trace(Q) is zero).
             captured.append(pb)
             comp = pb.compile()
             values = {name: pb.extract(name, np.zeros(comp.p), comp.spans)
@@ -223,10 +204,8 @@ def test_programs_compile_like_per_element_references():
         solve_margin_dual(sys, iqcs, rho, solver=spy)
         with pytest.raises(ValueError, match="trace"):
             worstcase.extract_dual_witness(sys, iqcs, solver=spy)
-        with pytest.raises(ValueError, match="rank one"):
-            worstcase._relaxed_direction(modes, spy)
-        references = _reference_programs(sys, iqcs, rho, modes)
-        assert len(captured) == len(references) == 5
+        references = _reference_programs(sys, iqcs, rho)
+        assert len(captured) == len(references) == 4
 
         for got, want in zip(captured, references):
             got, want = got.compile(), want.compile()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from iqcradius import worstcase
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
 from iqcradius.radius import spectral_radius
+from iqcradius.sdp_engine import solve
 from iqcradius.verify import CHECK_HORIZON, check_witness
 from iqcradius.worstcase import (
     WorstCaseModes,
@@ -234,11 +235,13 @@ def test_eigen_group_near_merge_warns():
 
 
 def test_direction_rank_one(feedback_witness):
+    """At d = 1 the basis sum is v = [1] exactly (``eigen_group`` returns
+    the basis [[1]] for F = 1 and F = -1)."""
     _, _, outcome = feedback_witness
     assert outcome.modes.d == 1
     v, method = technical_condition(outcome.modes)
-    assert method == "rank-one"
-    np.testing.assert_allclose(v, [1.0])
+    assert method == "distinct-eigenvalues"
+    assert v.tolist() == [1.0]
 
 
 def test_direction_distinct_eigenvalues(rotation_witness):
@@ -256,8 +259,8 @@ def test_direction_unconstrained_fallback():
     modes = WorstCaseModes(Q=0.5 * np.eye(2), d=d, X=X, U=U, F=np.eye(2),
                            groups=tuple(eigen_group(np.eye(2))), H=())
     v, method = technical_condition(modes)
-    assert method == "unconstrained"
-    assert np.linalg.norm(X @ v) > 1e-8
+    assert method == "eigenvalue-search"
+    np.testing.assert_array_equal(v, np.linalg.svd(X)[2][0])
 
 
 def test_direction_absent_for_opposite_signs():
@@ -266,7 +269,7 @@ def test_direction_absent_for_opposite_signs():
                            U=np.zeros((0, 1)), F=F,
                            groups=tuple(eigen_group(F)),
                            H=(np.array([[1.0]]), np.array([[-1.0]])))
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="no direction exists"):
         technical_condition(modes)
 
 
@@ -281,13 +284,63 @@ def test_direction_verifier_messages(rotation_witness):
     assert "null space" in verify_direction(null_modes, np.array([0.0, 1.0]))
 
 
-def test_relaxation_reports_non_rank_one():
+def test_repeated_eigenvalue_plane_completes():
+    """A repeated eigenvalue (F = I_2) with one constraint: the basis sum
+    does not apply, and the top eigenvector of K_1 passes."""
     sys = SystemData(A=np.eye(2))
     iqcs = IqcSet.from_matrices([[[1.0, 0.0], [0.0, 0.0]]])
     outcome = build_witness(sys, iqcs, rho=1.0)
-    assert not outcome.ok
-    assert outcome.stage == "technical-condition"
-    assert "rank one" in outcome.reason
+    assert outcome.ok, outcome.reason
+    assert technical_condition(outcome.modes)[1] == "eigenvalue-search"
+    assert check_witness(sys, outcome.report, iqcs).ok
+
+
+def _repeated_rotation_system(rng, r, k):
+    """kron(I_r, rotation) under a random orthogonal similarity, with k
+    random constraints, each shifted by a multiple of the identity so that
+    its pairing with the stationary dual I / 2r is nonnegative."""
+    n = 2 * r
+    O = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = O @ np.kron(np.eye(r), rotation(rng.uniform(0.3, 2.8))) @ O.T
+    mats = []
+    for _ in range(k):
+        G = rng.normal(size=(n, n))
+        G = G + G.T
+        mats.append(G - min(np.trace(G) / n, 0.0) * np.eye(n))
+    return SystemData(A=A), IqcSet.from_matrices(mats, dim=n)
+
+
+def test_repeated_eigenvalue_boundary_sample_completes():
+    """Each eigen-group of these systems has multiplicity r, so the basis
+    sum does not apply; the eigenvalue search certifies the sign
+    condition, and the witness passes ``check_witness``."""
+    rng = np.random.default_rng(28)
+    for r in (2, 3):
+        for k in (1, 2, 3):
+            for _ in range(2):
+                sys, iqcs = _repeated_rotation_system(rng, r, k)
+                outcome = build_witness(sys, iqcs, rho=1.0,
+                                        radius_cert=_CLAIMED_BOUNDARY)
+                assert outcome.ok, (r, k, outcome.stage, outcome.reason)
+                assert {g.multiplicity for g in outcome.modes.groups} == {r}
+                assert check_witness(sys, outcome.report, iqcs).ok
+
+
+def test_sign_condition_solves_no_program():
+    """With a stored certificate the dual extraction is the only solve."""
+    sys = SystemData(A=np.kron(np.eye(2), rotation(0.8)))
+    iqcs = IqcSet.from_matrices([np.diag([1.0, 0.0, 0.0, 0.0])])
+    cert = spectral_radius(sys, iqcs)
+    calls = []
+
+    def counting(pb):
+        calls.append(pb)
+        return solve(pb)
+
+    outcome = build_witness(sys, iqcs, rho=1.0, radius_cert=cert,
+                            solver=counting)
+    assert len(calls) == 1
+    assert outcome.ok, outcome.reason
 
 
 def test_trajectory_constant_mode():
@@ -610,10 +663,11 @@ _STAGE_CASES = [
      "no constraint-compatible stationary dual matrix: "
      "trace(Q M_1) = -1.000e+00", False),
     (SystemData(A=np.kron(np.eye(2), rotation(0.8))),
-     IqcSet.from_matrices([np.diag([1.0, 0.0, 0.0, 0.0])]), 1.0, None, None,
+     IqcSet.from_matrices([np.diag([1.0, 0.0, 0.0, 0.0])]), 1.0, None,
+     ("iqcradius.worstcase._eigen_search", _raise_stub),
      "technical-condition",
-     "sign condition not certified (relaxation: relaxation optimum is not "
-     "rank one (top eigenvalue carries 0.270737 of the trace))", True),
+     "sign condition not certified (distinct-eigenvalues: an eigenvalue of "
+     "F is repeated; eigenvalue-search: stub failure)", True),
     (SystemData(A=rotation(1.0)), None, 1.0, None,
      ("iqcradius.worstcase.rank_factor", _raise_stub), "rank-factorization",
      "stub failure", False),
@@ -637,7 +691,7 @@ _STAGE_CASES = [
 def test_every_failure_stage_and_reason(monkeypatch, sys, iqcs, rho, cert,
                                         stub, stage, reason, has_modes):
     """Each stage of ``build_witness`` fails under its own name with its
-    own reason; the three stages no public input reached are stubbed, and
+    own reason; the four stages no public input reached are stubbed, and
     trajectory assembly fails by a ``verify`` tolerance no orbit meets."""
     if stub is not None:
         monkeypatch.setattr(*stub)
