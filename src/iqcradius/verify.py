@@ -23,7 +23,10 @@ The one-step dynamics residual and its tolerance live in ``model``
 ``check_witness``, the one test that accepts a witness, walks the orbit
 over ``CHECK_HORIZON`` steps once (``_walk``, the only ``mode_orbit`` call)
 and judges it (``_judge``); ``worstcase.build_witness`` runs both and
-returns that orbit.  Row forms and norms use ``model``'s column-major kernels.
+returns that orbit.  The walk forms each constraint once per step on
+``[x_k; u_k]``; the partial sums, the hard shift and the pointwise flag
+are all read off those forms.  Row forms and norms use ``model``'s
+column-major kernels.
 
 The growth test states a horizon-bounded fact only (a half-versus-half
 comparison of state norms); a finite trajectory cannot certify a limit,
@@ -49,8 +52,7 @@ from .model import (
     margin_matrix,
 )
 from .radius import RadiusCertificate
-from .worstcase import (WitnessReport, WorstCaseModes, _pointwise_from_rows,
-                        _shift_from_rows, _shift_scale, mode_orbit,
+from .worstcase import (WitnessReport, WorstCaseModes, mode_orbit,
                         verify_direction, verify_groups)
 
 __all__ = [
@@ -65,6 +67,14 @@ __all__ = [
 
 # Steps over which a witness orbit is re-checked.
 CHECK_HORIZON = 10_000
+# Horizons scanned for the hard-constraint shift.
+SHIFT_WINDOW = 10_000
+# Partial sums within SHIFT_RTOL * ||M|| * sum_k |[x_k; u_k]|^2 of their
+# minimum count as the minimum: sums that are all zero up to rounding then
+# give one shift whatever the sign of that rounding.
+SHIFT_RTOL = 1e-12
+# Steps over which a rank-one witness is re-checked pointwise.
+POINTWISE_HORIZON = 1000
 # Agreement tolerance for the telescoped-versus-direct difference
 # identity; it is exact algebra, so only rounding noise is allowed.
 IDENTITY_RTOL = 1e-9
@@ -131,8 +141,8 @@ class WitnessCheck:
     condition_defect: str     # eigen-group or sign-condition defect, or ""
     gain_residual: float      # nan when the report carries no gain
     gain_ok: bool
-    hard_shift: int | None    # recomputed from the orbit rows
-    pointwise: bool           # recomputed from the orbit rows
+    hard_shift: int | None    # recomputed from the orbit's constraint sums
+    pointwise: bool           # recomputed from the orbit's constraint forms
     growing: bool
     notes: tuple[str, ...]
 
@@ -232,12 +242,15 @@ def trajectory_diagnostics(sys: SystemData, traj: Trajectory,
         raise DimensionMismatchError(
             f"trajectory dimensions (n={traj.n}, m={traj.m}) do not "
             f"match the system (n={sys.n}, m={sys.m})")
+    sums = iqc_partial_sums(traj, iqcs) if iqcs is not None and len(iqcs) else []
+    return _diagnostics(sys, traj, sums)
+
+
+def _diagnostics(sys: SystemData, traj: Trajectory,
+                 sums: list[np.ndarray]) -> TrajectoryDiagnostics:
+    """``trajectory_diagnostics`` given the constraint partial sums."""
     residual, norms = _residual_and_state_norms(sys, traj)
-    if iqcs is not None and len(iqcs):
-        minima = np.array([float(s.min(initial=np.inf))
-                           for s in iqc_partial_sums(traj, iqcs)])
-    else:
-        minima = np.zeros(0)
+    minima = np.array([float(s.min(initial=np.inf)) for s in sums])
     return TrajectoryDiagnostics(
         steps=len(traj), dynamics_residual=residual,
         dynamics_ok=residual <= DYNAMICS_RTOL, iqc_minima=minima,
@@ -257,13 +270,35 @@ class _Walk:
 
 def _walk(sys: SystemData, modes: WorstCaseModes, growth: float,
           iqcs: IqcSet) -> _Walk:
-    """Walk the witness orbit, the package's one ``mode_orbit`` call."""
+    """Walk the witness orbit, the package's one ``mode_orbit`` call, and
+    form each constraint ``[x_k; u_k]' M_i [x_k; u_k]`` along it once.
+
+    The forms' partial sums give the diagnostics and, for one constraint,
+    the hard shift: the first horizon of the first ``SHIFT_WINDOW`` within
+    ``SHIFT_RTOL ||M|| sum_k |[x_k; u_k]|^2`` of their minimum, unless it
+    falls in the window's trailing tenth (the sums may keep decreasing).
+    A rank-one witness (``d = 1``) meets every constraint pointwise, which
+    the forms of its first ``POINTWISE_HORIZON`` steps re-check.
+    """
     Z, traj = mode_orbit(modes, CHECK_HORIZON, growth)
-    shift = None if len(iqcs) != 1 else _shift_from_rows(
-        Z, modes.H[0], _shift_scale(modes, iqcs.entries[0]))
+    S = traj.stacked()
+    forms = [_row_forms(S, M) for M in iqcs]
+    sums = [np.cumsum(f) for f in forms]
+    shift = None
+    if len(iqcs) == 1:
+        window, rows = sums[0][:SHIFT_WINDOW], S[:SHIFT_WINDOW]
+        tol = SHIFT_RTOL * iqcs.scale() * float(np.einsum("ki,ki->", rows, rows))
+        shift = int(np.argmax(window <= window.min() + tol)) + 1
+        if shift > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
+            shift = None
+    pointwise = modes.d == 1
+    for f in forms if pointwise else ():
+        f = f[:POINTWISE_HORIZON]
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(f), initial=0.0)))
+        pointwise = pointwise and float(f.min(initial=0.0)) >= -tol   # NaN fails
     return _Walk(rows=Z, trajectory=traj,
-                 diagnostics=trajectory_diagnostics(sys, traj, iqcs),
-                 hard_shift=shift, pointwise=_pointwise_from_rows(Z, modes))
+                 diagnostics=_diagnostics(sys, traj, sums),
+                 hard_shift=shift, pointwise=pointwise)
 
 
 def _judge(report: WitnessReport, walk: _Walk) -> WitnessCheck:
@@ -286,9 +321,11 @@ def _judge(report: WitnessReport, walk: _Walk) -> WitnessCheck:
 
     if report.gain is not None:
         K, U = np.asarray(report.gain, dtype=float), traj.inputs
-        miss = K @ traj.states[:-1].T - U.T       # one column per step
-        gain_residual = float(np.max(
-            _row_norms(miss.T) / (1.0 + _row_norms(U))))
+        gain_residual = 0.0                       # no inputs: K is 0 x n
+        if U.shape[1]:
+            miss = K @ traj.states[:-1].T - U.T   # one column per step
+            gain_residual = float(np.max(
+                _row_norms(miss.T) / (1.0 + _row_norms(U))))
         gain_ok = gain_residual <= GAIN_RTOL
     else:
         gain_residual = float("nan")
@@ -323,9 +360,9 @@ def check_witness(sys: SystemData, report: WitnessReport,
     with a note); the orbit coefficient norm ``||F^k v||`` is constant;
     the groups and direction pass ``verify_groups`` and the sign
     condition ``verify_direction``; a recorded feedback gain holds; and
-    ``hard_shift`` and ``pointwise`` are re-derived from the orbit, the one
-    ``build_witness`` returns.  Failures are recorded in the result, not
-    raised.
+    ``hard_shift`` and ``pointwise`` are re-derived from the per-step
+    constraint forms of the orbit, the one ``build_witness`` returns.
+    Failures are recorded in the result, not raised.
     """
     if iqcs is None:
         iqcs = IqcSet.empty(sys.n + sys.m)

@@ -38,7 +38,6 @@ from .model import (
     SystemData,
     Trajectory,
     _lyapunov_stack,
-    _row_forms,
     lyapunov_adjoint,
     symmetrize,
 )
@@ -79,19 +78,10 @@ ANGLE_TOL = 1e-6
 # Allowed distance from orthogonality of F and from unitarity of the
 # stacked eigen-group bases.
 UNITARY_TOL = 1e-6
-# Horizons scanned for the hard-constraint shift.
-SHIFT_WINDOW = 10_000
-# Partial sums within SHIFT_RTOL * scale * sum_k |z_k|^2 of their minimum
-# count as the minimum, where scale is the size at which the constraint
-# form H = [X; U]' M [X; U] was rounded: sums that are all zero up to
-# rounding then give one shift whatever the sign of that rounding.
-SHIFT_RTOL = 1e-12
 # A group-projected constraint form may fall this far below zero.
 FORM_TOL = 1e-8
 # Weight updates of the sign-condition eigenvalue search.
 SEARCH_STEPS = 300
-# Steps over which a rank-one witness is re-checked pointwise.
-POINTWISE_HORIZON = 1000
 # A growth orbit stops before growth ** k passes exp(GROWTH_LOG_CAP), so
 # its states and their squared norms stay inside the float range.
 GROWTH_LOG_CAP = 300.0
@@ -585,7 +575,7 @@ def technical_condition(modes: WorstCaseModes) -> tuple[np.ndarray, str]:
 
 
 # ---------------------------------------------------------------------------
-# stage 6: trajectory and derived quantities
+# stage 6: the orbit, its sum bounds and feedback gain
 
 
 def mode_orbit(modes: WorstCaseModes, horizon: int,
@@ -676,52 +666,9 @@ def feedback_gain(modes: WorstCaseModes) -> np.ndarray | None:
 def _constraint_forms(X: np.ndarray, U: np.ndarray,
                       iqcs: IqcSet) -> tuple[np.ndarray, ...]:
     """H_i = [X; U]' M_i [X; U], symmetrized.  The pipeline and a report's
-    reader both form them here, so a re-derived shift is bit-identical."""
+    reader both form them here, so their sign-condition checks agree."""
     Z = np.vstack([X, U])
     return tuple(0.5 * (G + G.T) for G in (Z.T @ M @ Z for M in iqcs))
-
-
-def _shift_scale(modes: WorstCaseModes, M: np.ndarray) -> float:
-    """``||[X; U]||_2^2 ||M||_2``, the size at which H was rounded (inf
-    past the float range)."""
-    z = float(np.linalg.norm(np.vstack([modes.X, modes.U]), 2))
-    return z * z * float(np.linalg.norm(M, 2))
-
-
-def _shift_from_rows(Z: np.ndarray, H: np.ndarray, scale: float) -> int | None:
-    """Start offset making the single constraint's partial sums nonnegative.
-
-    Returns the first horizon of the orbit rows ``Z[:SHIFT_WINDOW]`` (copied
-    to ``mode_orbit``'s layout, so the sums round alike) whose partial sum
-    lies within ``SHIFT_RTOL * scale * sum_k |z_k|^2`` of the minimum, unless
-    it falls in the trailing tenth of the window (the sums may keep
-    decreasing).  ``scale`` is the size at which H was formed
-    (``_shift_scale``).
-    """
-    Z = np.asfortranarray(Z[:SHIFT_WINDOW])
-    sums = np.cumsum(_row_forms(Z, H))
-    tol = SHIFT_RTOL * scale * float(np.einsum("ki,ki->", Z, Z))
-    n_star = int(np.argmax(sums <= sums.min() + tol)) + 1
-    if n_star > SHIFT_WINDOW - max(1, SHIFT_WINDOW // 10):
-        return None
-    return n_star
-
-
-def _pointwise_from_rows(Z: np.ndarray, modes: WorstCaseModes) -> bool:
-    """Whether every constraint holds at each step, not just in sums.
-
-    True exactly for rank-one witnesses (the factor columns are vectors,
-    so the trace inequality is already the pointwise one); re-verified
-    numerically along the orbit rows ``Z[:POINTWISE_HORIZON]``.
-    """
-    if modes.d != 1:
-        return False
-    for Hi in modes.H:
-        per_step = _row_forms(Z[:POINTWISE_HORIZON], Hi)
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(per_step), initial=0.0)))
-        if not float(per_step.min(initial=0.0)) >= -tol:     # NaN fails too
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +694,9 @@ def build_witness(sys: SystemData, iqcs: IqcSet | None = None, *,
     and one handler returns its reason under the stage's name; failures
     from the technical condition on also carry the modes built so far.
     Trajectory assembly walks the orbit ``verify.check_witness`` walks,
-    reads ``hard_shift`` and ``pointwise`` off it, accepts the witness by
-    that function's tests (naming any that fail) and returns the orbit.
+    takes ``hard_shift`` and ``pointwise`` from that walk (read off its
+    per-step constraint forms), accepts the witness by that function's
+    tests (naming any that fail) and returns the orbit.
     """
     from .verify import _judge, _walk
 

@@ -11,7 +11,8 @@ The kernels compute on the ``(d, N)`` transposes of their row arrays, and
 ``worstcase.mode_orbit`` stores its orbits column-major so that those
 transposes are contiguous.  They must give the same numbers as a plain
 per-row loop for either layout, and the orbits must stay column-major.
-``mode_orbit`` has one call site, so a witness is walked once.
+``mode_orbit`` has one call site, so a witness is walked once, and
+``verify`` imports no private name from ``worstcase``.
 """
 
 import ast
@@ -169,3 +170,13 @@ def test_mode_orbit_has_one_call_site():
              if isinstance(node, ast.Call) and "mode_orbit" in
              (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     assert len(sites) == 1, sites
+
+
+def test_verify_imports_no_private_name_from_worstcase():
+    """``verify`` reads the shift and the pointwise flag off its own walk;
+    it borrows no private helper from ``worstcase``."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "worstcase"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import iqcradius.model
+import iqcradius.verify
+import iqcradius.worstcase
 from iqcradius.cli import main
 from iqcradius.model import (
     DimensionMismatchError,
@@ -191,10 +193,15 @@ def test_check_witness_computes_the_state_norms_once(monkeypatch):
 
     monkeypatch.setattr(iqcradius.model, "_row_norms", recording)
     monkeypatch.setattr("iqcradius.verify._row_norms", recording)
-    assert check_witness(sys, outcome.report, IqcSet.empty(2)).ok
+    check = check_witness(sys, outcome.report, IqcSet.empty(2))
+    assert check.ok
     states = [Z for Z in seen if len(Z) >= len(traj) and Z.shape[1] == traj.n
               and np.array_equal(Z, traj.states[:len(Z)])]
     assert len(states) == 1
+    # No inputs: the 0 x n gain holds exactly, and no zero-width rows are
+    # measured for it.
+    assert check.gain_residual == 0.0
+    assert all(Z.shape[1] for Z in seen)
 
 
 def test_check_witness_rotation_passes():
@@ -327,6 +334,34 @@ def test_one_orbit_per_verify(tmp_path, orbit_calls):
     orbit_calls.clear()
     assert main(["verify", str(report), str(problem)]) == 0
     assert orbit_calls == [CHECK_HORIZON]
+
+
+FORM_CASES = {
+    "rotation-one-constraint": (SystemData(A=[[0.0, 1.0], [-1.0, 0.0]]),
+                                IqcSet.from_matrices([np.diag([1.0, 0.0])])),
+    "gd-at-2-over-L": WITNESS_CASES["gd-at-2-over-L"][:2],
+}
+
+
+@pytest.mark.parametrize("case", FORM_CASES)
+def test_one_form_pass_per_constraint(monkeypatch, case):
+    """``check_witness`` forms each constraint once along its orbit: the
+    sums, the shift and the pointwise flag all read that one pass."""
+    sys, iqcs = FORM_CASES[case]
+    outcome = build_witness(sys, iqcs, rho=1.0)
+    assert outcome.ok, outcome.reason
+    row_forms = iqcradius.model._row_forms
+    calls = []
+
+    def counting(Z, M):
+        calls.append(M)
+        return row_forms(Z, M)
+
+    for module in (iqcradius.model, iqcradius.verify, iqcradius.worstcase):
+        if hasattr(module, "_row_forms"):
+            monkeypatch.setattr(module, "_row_forms", counting)
+    assert check_witness(sys, outcome.report, iqcs).ok
+    assert len(calls) == len(iqcs)
 
 
 @pytest.mark.parametrize("case", WITNESS_CASES)

@@ -21,11 +21,9 @@ from iqcradius import worstcase
 from iqcradius.model import IqcSet, SystemData, iqc_partial_sums
 from iqcradius.radius import spectral_radius
 from iqcradius.sdp_engine import solve
-from iqcradius.verify import CHECK_HORIZON, check_witness
+from iqcradius.verify import _walk, check_witness
 from iqcradius.worstcase import (
     WorstCaseModes,
-    _pointwise_from_rows,
-    _shift_from_rows,
     build_witness,
     eigen_group,
     extract_dual_witness,
@@ -45,18 +43,14 @@ def rotation(theta):
     return np.array([[c, s], [-s, c]])
 
 
-def shift_of(modes, scale=None):
-    """The shift read off the modes' orbit, as ``verify`` reads it; by
-    default at the scale ``||H||``."""
-    if scale is None:
-        scale = float(np.linalg.norm(modes.H[0], 2))
-    return _shift_from_rows(mode_orbit(modes, CHECK_HORIZON)[0], modes.H[0],
-                            scale)
+def shift_of(sys, modes, iqcs):
+    """The shift ``verify`` reads off the modes' orbit."""
+    return _walk(sys, modes, 1.0, iqcs).hard_shift
 
 
-def pointwise_of(modes):
-    """The pointwise flag read off the modes' orbit, as ``verify`` reads it."""
-    return _pointwise_from_rows(mode_orbit(modes, CHECK_HORIZON)[0], modes)
+def pointwise_of(sys, modes, iqcs):
+    """The pointwise flag ``verify`` reads off the modes' orbit."""
+    return _walk(sys, modes, 1.0, iqcs).pointwise
 
 
 def scalar_modes(H_value, v=1.0):
@@ -413,7 +407,8 @@ def test_hard_shift_minimum_at_start(constrained_witnesses):
 
 def test_hard_shift_decreasing_absent():
     modes = scalar_modes(-1.0)
-    assert shift_of(modes) is None
+    assert shift_of(SystemData(A=[[1.0]]), modes,
+                    IqcSet.from_matrices([[[-1.0]]])) is None
 
 
 def test_hard_shift_matches_brute_force():
@@ -424,7 +419,7 @@ def test_hard_shift_matches_brute_force():
                            groups=tuple(eigen_group(F)), H=(M,),
                            v=np.array([1.0, 0.0]))
     iqcs = IqcSet.from_matrices([M])
-    shift = shift_of(modes)
+    shift = shift_of(SystemData(A=F), modes, iqcs)
     _, traj = mode_orbit(modes, 10_000)
     (sums,) = iqc_partial_sums(traj, iqcs)
     assert shift == int(np.argmin(sums)) + 1
@@ -433,28 +428,29 @@ def test_hard_shift_matches_brute_force():
 
 def test_hard_shift_ignores_rounding_of_an_equality_witness():
     """Gradient descent at step 2/L meets its sector constraint with
-    equality, so its constraint form H is zero up to rounding; a
-    rounding-level change of the witness must not move the shift."""
+    equality, so its per-step constraint forms are zero up to rounding; a
+    rounding-level change of the witness rows X or U must not move the
+    shift."""
     L = 10.0
     M = np.array([[-L, 0.5 * (1.0 + L)], [0.5 * (1.0 + L), -1.0]])
-    outcome = build_witness(SystemData(A=[[1.0]], B=[[-2.0 / L]]),
-                            IqcSet.from_matrices([M]), rho=1.0)
+    sys, iqcs = SystemData(A=[[1.0]], B=[[-2.0 / L]]), IqcSet.from_matrices([M])
+    outcome = build_witness(sys, iqcs, rho=1.0)
     assert outcome.ok
-    Z = np.vstack([outcome.modes.X, outcome.modes.U])
-    scale = np.linalg.norm(Z, 2) ** 2 * np.linalg.norm(M, 2)
-    shifts = set()
-    for k in range(-4, 5):
-        Zk = Z * (1.0 + np.array([[k * 1e-16], [0.0]]))
-        shifts.add(shift_of(replace(outcome.modes, H=(Zk.T @ M @ Zk,)), scale))
+    modes, shifts = outcome.modes, set()
+    for k in range(-40, 41, 5):
+        scale = 1.0 + k * 1e-16
+        shifts.add(shift_of(sys, replace(modes, X=modes.X * scale), iqcs))
+        shifts.add(shift_of(sys, replace(modes, U=modes.U * scale), iqcs))
     assert shifts == {outcome.report.hard_shift} == {1}
 
 
 def test_pointwise_flags(feedback_witness, rotation_witness):
-    _, _, outcome = feedback_witness
-    assert pointwise_of(outcome.modes) is True
-    _, rot_outcome = rotation_witness
-    assert pointwise_of(rot_outcome.modes) is False
-    assert pointwise_of(scalar_modes(0.0)) is True
+    sys, iqcs, outcome = feedback_witness
+    assert pointwise_of(sys, outcome.modes, iqcs) is True
+    rot_sys, rot_outcome = rotation_witness
+    assert pointwise_of(rot_sys, rot_outcome.modes, IqcSet.empty(2)) is False
+    assert pointwise_of(SystemData(A=[[1.0]]), scalar_modes(0.0),
+                        IqcSet.from_matrices([[[0.0]]])) is True
 
 
 def test_witness_modes_invariants(rotation_witness, constrained_witnesses,
